@@ -173,7 +173,7 @@ def entry() -> Any:
     from jsonschema_validator_ray.pipelines import validate
 
     gen, spec = _transcripts_for("/root/testdata/sf0.001")
-    res = validate(gen.out_dir, spec=spec, strategy="sort")
+    res = validate(gen.out_dir, spec=spec)
     return res.violations.sort_by([
         ("conv_id", "ascending"), ("turn_idx", "ascending"),
         ("constraint_id", "ascending")])
@@ -187,7 +187,7 @@ def q_transcript_validate(sf_dir: str) -> pa.Table:
     from jsonschema_validator_ray.pipelines import validate
 
     gen, spec = _ensure_current_corpus(sf_dir)
-    res = validate(gen.out_dir, spec=spec, strategy="sort")
+    res = validate(gen.out_dir, spec=spec)
     return res.violations.sort_by([
         ("conv_id", "ascending"), ("turn_idx", "ascending"),
         ("constraint_id", "ascending")])
@@ -204,8 +204,7 @@ def q_transcript_verdict(sf_dir: str) -> pa.Table:
     gen, spec = _ensure_current_corpus(sf_dir)
     spec_nd = _json.loads(_json.dumps(spec))
     spec_nd.get("table", {}).pop("drift", None)   # drift isn't SQL-expressible
-    res = validate(gen.out_dir, spec=spec_nd, mode="verdict", sketch=False,
-                   strategy="sort")
+    res = validate(gen.out_dir, spec=spec_nd, mode="verdict", sketch=False)
     return pa.table({
         "passed": pa.array([res.passed]),
         "n_rows": pa.array([res.metrics["n_rows"]], pa.int64()),
@@ -235,7 +234,7 @@ def q_check_constraint_transcripts(sf_dir: str) -> pa.Table:
              "assert": {"column": "turn_idx", "op": "lt", "value": 8000}},
         ]},
     }
-    res = validate(gen.out_dir, spec=spec2, strategy="sort", sketch=False)
+    res = validate(gen.out_dir, spec=spec2, sketch=False)
     return res.violations.sort_by([
         ("conv_id", "ascending"), ("turn_idx", "ascending"),
         ("constraint_id", "ascending")])
@@ -310,7 +309,7 @@ def q_violations_by_constraint_transcripts(sf_dir: str) -> pa.Table:
     from jsonschema_validator_ray.pipelines import validate
 
     gen, spec = _ensure_current_corpus(sf_dir)
-    res = validate(gen.out_dir, spec=spec, strategy="sort")
+    res = validate(gen.out_dir, spec=spec)
     d = res.metrics["violations_by_constraint"]
     ks = sorted(d)
     return pa.table({
@@ -4451,16 +4450,15 @@ def q_lineage_manifest_transcripts(sf_dir: str) -> pa.Table:
 
 
 def q_salted_validate_transcripts(sf_dir: str) -> pa.Table:
-    """The flagship validation run through the SALTED-GROUPBY wide
-    strategy (north-rule skew handling: hot conversations split across
-    salt shards by ``stages.groupcheck.add_salt_column``, per-(conv,
-    salt) checks + boundary merge restore exact cross-salt semantics) —
-    oracled by the SAME SQL as the sort-strategy flagship, so the gate
-    row proves the skew-splitting path is bitwise-equal to the default."""
+    """The flagship validation, kept as the skew-handling gate row: the
+    corpus's hot conversations go through the sort-based wide stage, whose
+    range partitioner splits them across blocks while the run-boundary
+    merge restores exact cross-block semantics. Oracled by the SAME SQL as
+    the flagship, so the row proves the skew-splitting path stays exact."""
     from jsonschema_validator_ray.pipelines import validate
 
     gen, spec = _ensure_current_corpus(sf_dir)
-    res = validate(gen.out_dir, spec=spec, strategy="groupby")
+    res = validate(gen.out_dir, spec=spec)
     return res.violations.sort_by([
         ("conv_id", "ascending"), ("turn_idx", "ascending"),
         ("constraint_id", "ascending")])

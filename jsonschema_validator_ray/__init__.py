@@ -11,8 +11,8 @@ validation of multi-turn conversation transcripts, executed Ray-Data-first:
 - ``constraints``   — the compiled Constraint IR + vectorized Arrow kernels.
 - ``state``         — streaming sketches (HLL, t-digest) + drift tests (KS, chi-square).
 - ``sources``       — deterministic synthetic transcript generator (+ injected violations).
-- ``stages``        — Ray Data stages: row-local validate, sketch actor pool,
-  salted groupby checks.
+- ``stages``        — Ray Data stages: row-local validate + sketch, sorted-run
+  group checks.
 - ``pipelines``     — end-to-end resumable validation pipeline with per-partition
   lineage manifests.
 - ``ops``           — large-scale training-data operators (dedup, similarity search,

@@ -2,7 +2,7 @@
 
     python -m jsonschema_validator_ray.cli validate \
         --input /data/transcripts --out /tmp/out \
-        [--spec spec.json] [--strategy sort|groupby] [--mode enumerate|verdict] \
+        [--spec spec.json] [--mode enumerate|verdict] \
         [--partitioned --files-per-partition 4]
 
     python -m jsonschema_validator_ray.cli generate \
@@ -47,7 +47,6 @@ def main(argv=None):
                    help="parquet file/dir of transcripts")
     v.add_argument("--out", required=True)
     v.add_argument("--spec", help="constraint spec JSON (default: transcript spec)")
-    v.add_argument("--strategy", default="sort", choices=["sort", "groupby"])
     v.add_argument("--mode", default="enumerate", choices=["enumerate", "verdict"])
     v.add_argument("--partitioned", action="store_true",
                    help="resumable per-file-group partitions with manifests")
@@ -97,14 +96,12 @@ def main(argv=None):
                 files = [src]
             summary = run_partitioned(files, args.out, spec=spec,
                                       files_per_partition=args.files_per_partition,
-                                      strategy=args.strategy,
                                       batch_size=args.batch_size)
             print(json.dumps(summary, default=str))
             return 0 if summary.get("passed") else 1
 
         res = validate(args.input, spec=spec, mode=args.mode,
-                       strategy=args.strategy, batch_size=args.batch_size,
-                       out_dir=args.out)
+                       batch_size=args.batch_size, out_dir=args.out)
         print(json.dumps({"passed": res.passed, "metrics": res.metrics,
                           "drift": res.drift}, default=str))
         return 0 if res.passed else 1

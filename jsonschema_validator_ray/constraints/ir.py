@@ -77,15 +77,14 @@ class StructDecode:
 
 @dataclass(frozen=True)
 class GroupCheck:
-    """Shuffle-stage check: monotonicity + key uniqueness per group
-    (groupby(group_key) → sort(order_by) → adjacent scan)."""
+    """Wide-stage check: monotonicity + key uniqueness per group
+    (global sort on (group_key, order_by) → adjacent scan)."""
 
     group_key: str = "conv_id"
     order_by: str = "turn_idx"
     ts_column: str = "ts"
     check_unique: bool = True     # unique:(group_key, order_by)
     check_mono: bool = True       # mono: ts never decreases in order_by order
-    salt_span: int = 4096         # turn_idx // span → salt bucket for hot groups
 
 
 @dataclass(frozen=True)
@@ -337,7 +336,6 @@ def compile_constraints(spec: dict) -> ConstraintIR:
             ts_column=mono.get("column", "ts"),
             check_unique=bool(unique),
             check_mono=bool(table.get("monotonic")),
-            salt_span=int(mono.get("salt_span", 4096)),
         )
 
     for ch in table.get("checks") or []:
@@ -351,6 +349,9 @@ def compile_constraints(spec: dict) -> ConstraintIR:
                 "table/checks", KeywordType.UNKNOWN,
                 wrong_value_type_detail("object", ch))
         a = ch["assert"]
+        if not isinstance(a, dict) or "column" not in a:
+            raise SchemaError(
+                f"check {ch['name']!r}: 'assert' needs a 'column'")
         op = a.get("op")
         operand_is_col = "other_column" in a
         if op == "in":
@@ -363,6 +364,10 @@ def compile_constraints(spec: dict) -> ConstraintIR:
         elif op in ("null", "not_null"):
             operand = None
         elif op in ("eq", "ne", "lt", "le", "gt", "ge"):
+            if not operand_is_col and "value" not in a:
+                raise SchemaError(
+                    f"check {ch['name']!r}: op {op!r} needs a 'value' or "
+                    f"an 'other_column'")
             operand = a["other_column"] if operand_is_col else a["value"]
         else:
             raise SchemaError(f"check {ch['name']!r}: unknown op {op!r}")
@@ -412,6 +417,8 @@ TRANSCRIPT_SPEC = {
                "min": "2020-01-01T00:00:00", "max": "2035-01-01T00:00:00"},
     },
     "table": {
+        # "salt_span" is no longer read; it stays so that ir_hash (a hash of
+        # the spec text) and every existing partition manifest stay valid
         "monotonic": {"group_by": "conv_id", "order_by": "turn_idx",
                       "column": "ts", "salt_span": 4096},
         "unique": True,

@@ -409,7 +409,7 @@ def make_row_validator(ir: ConstraintIR, mode: str = "enumerate"):
 
 
 # ---------------------------------------------------------------------------
-# Shuffle-stage kernels: monotonicity + uniqueness per (salted) group
+# Wide-stage key casts + the per-conversation group check
 # ---------------------------------------------------------------------------
 
 def order_key_int64(col) -> pa.Array:
@@ -446,24 +446,11 @@ def ts_key_int64(col) -> pa.Array:
     return pa.nulls(len(col), pa.int64())
 
 
-GROUPCHECK_SCHEMA = pa.schema([
-    ("kind", pa.string()),          # "violation" | "boundary"
-    ("conv_id", pa.string()),
-    ("turn_idx", pa.int32()),
-    ("constraint_id", pa.string()),
-    ("message", pa.string()),
-    ("bucket", pa.int64()),
-    ("first_tid", pa.int32()),
-    ("first_ts", pa.timestamp("us")),
-    ("last_tid", pa.int32()),
-    ("last_ts", pa.timestamp("us")),
-])
-
-
-def group_check_table(group: pa.Table, gc: GroupCheck, *, emit_boundary: bool = True) -> pa.Table:
-    """Check one (conv_id[, salt-bucket]) group: sorted-run duplicate scan +
-    ts-monotonicity in turn order; optionally emit the group's boundary record
-    for the cross-bucket merge (SURVEY.md §7.4 salted-group boundary merge).
+def group_check_table(group: pa.Table, gc: GroupCheck) -> pa.Table:
+    """Exact in-memory check of ONE conversation's rows: sorted-run duplicate
+    scan + ts-monotonicity in turn order. Returns violation rows
+    (VIOLATION_SCHEMA). Used by the partitioned runner to re-check the few
+    conversations whose turn ranges overlap across partitions.
 
     Semantics (FIXTURES.md §B): per conversation ordered by ``order_by``
     (stable), ``ts`` must never DECREASE — a violation is ``ts < prev_ts``
@@ -484,7 +471,7 @@ def group_check_table(group: pa.Table, gc: GroupCheck, *, emit_boundary: bool = 
         ts_all = _np(ts_key_int64(group[gc.ts_column]))  # ticks as stored
     else:
         # unique-only spec: no ts column is projected (or it's absent) —
-        # mono never fires and boundaries carry no valid ts
+        # mono never fires
         ts_all = np.full(group.num_rows, np.nan)
     keep = ~null_mask
     tid = tid_all[keep]
@@ -515,70 +502,9 @@ def group_check_table(group: pa.Table, gc: GroupCheck, *, emit_boundary: bool = 
                 viol_cid.append(f"mono:{gc.order_by}")
                 viol_msg.append("Non-monotonic ts for turn order")
 
-    k = len(viol_tid)
-    rows = {
-        "kind": ["violation"] * k,
-        "conv_id": [conv] * k,
-        "turn_idx": viol_tid,
-        "constraint_id": viol_cid,
-        "message": viol_msg,
-        "bucket": [None] * k,
-        "first_tid": [None] * k,
-        "first_ts": [None] * k,
-        "last_tid": [None] * k,
-        "last_ts": [None] * k,
-    }
-    # Boundary record uses the first/last rows with a VALID ts (null-ts rows
-    # never participate in mono comparisons, here or in the global semantics).
-    valid_ts = np.flatnonzero(ts == ts)
-    if emit_boundary and valid_ts.size:
-        fi, li = valid_ts[0], valid_ts[-1]
-        bucket = int(tid[fi] // gc.salt_span) if gc.salt_span else 0
-        rows["kind"].append("boundary")
-        rows["conv_id"].append(conv)
-        rows["turn_idx"].append(None)
-        rows["constraint_id"].append(None)
-        rows["message"].append(None)
-        rows["bucket"].append(bucket)
-        rows["first_tid"].append(int(tid[fi]))
-        rows["first_ts"].append(int(ts[fi]))
-        rows["last_tid"].append(int(tid[li]))
-        rows["last_ts"].append(int(ts[li]))
-    return pa.table(
-        {
-            "kind": pa.array(rows["kind"], pa.string()),
-            "conv_id": pa.array(rows["conv_id"], pa.string()),
-            "turn_idx": pa.array(rows["turn_idx"], pa.int32()),
-            "constraint_id": pa.array(rows["constraint_id"], pa.string()),
-            "message": pa.array(rows["message"], pa.string()),
-            "bucket": pa.array(rows["bucket"], pa.int64()),
-            "first_tid": pa.array(rows["first_tid"], pa.int32()),
-            "first_ts": pa.array(rows["first_ts"], pa.timestamp("us")),
-            "last_tid": pa.array(rows["last_tid"], pa.int32()),
-            "last_ts": pa.array(rows["last_ts"], pa.timestamp("us")),
-        },
-        schema=GROUPCHECK_SCHEMA,
-    )
-
-
-def merge_boundaries(boundaries: pa.Table, gc: GroupCheck) -> pa.Table:
-    """Cross-bucket monotonicity merge over the (tiny) boundary records:
-    within each conv_id, buckets sorted ascending must satisfy
-    ``last_ts[k] < first_ts[k+1]`` — the predecessor of bucket k+1's first row
-    in global turn order is bucket k's last row, so attribution equals the
-    global lag check's. Returns violation rows (VIOLATION_SCHEMA)."""
-    if boundaries.num_rows == 0 or not gc.check_mono:
-        return VIOLATION_SCHEMA.empty_table()
-    tbl = boundaries.sort_by([("conv_id", "ascending"), ("bucket", "ascending")])
-    conv = _np(tbl["conv_id"].cast(pa.string()))
-    first_tid = _np(tbl["first_tid"].cast(pa.int64()))
-    first_ts = _np(tbl["first_ts"].cast(pa.int64()))
-    last_ts = _np(tbl["last_ts"].cast(pa.int64()))
-    same_conv = conv[1:] == conv[:-1]
-    reg = np.flatnonzero(same_conv & (first_ts[1:] < last_ts[:-1])) + 1
     return pa.table({
-        "conv_id": pa.array(conv[reg].tolist(), pa.string()),
-        "turn_idx": pa.array(first_tid[reg].astype(np.int32), pa.int32()),
-        "constraint_id": pa.array([f"mono:{gc.order_by}"] * len(reg), pa.string()),
-        "message": pa.array(["Non-monotonic ts for turn order"] * len(reg), pa.string()),
+        "conv_id": pa.array([conv] * len(viol_tid), pa.string()),
+        "turn_idx": pa.array(viol_tid, pa.int32()),
+        "constraint_id": pa.array(viol_cid, pa.string()),
+        "message": pa.array(viol_msg, pa.string()),
     }, schema=VIOLATION_SCHEMA)

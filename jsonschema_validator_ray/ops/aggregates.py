@@ -18,7 +18,7 @@ import pyarrow.compute as pc
 # module-level so worker closures carry these by value when the package
 # is cloudpickled by-value (runtime relative imports inside worker fns
 # break the no-PYTHONPATH fallback — ADVICE r4)
-from ..rayutil import strip_meta
+from ..rayutil import collect_partials, strip_meta
 from ..stages.groupcheck import np_column_hash, run_starts
 
 
@@ -821,8 +821,7 @@ def sessionize_counts(ds, user_col: str, ts_col: str, order_col: str,
     to the previous event exceeds ``gap_us``. Returns (user, n_sessions).
 
     Execution: hash-bucket groupby keeps WHOLE users per bucket (no session
-    can straddle buckets), then one vectorized pass per bucket — the same
-    shape as the uniqueness/monotonicity wide stage."""
+    can straddle buckets), then one vectorized pass per bucket."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
     n_buckets = _hash_buckets(0)
@@ -858,8 +857,9 @@ def sessionize_counts(ds, user_col: str, ts_col: str, order_col: str,
     out = ds.map_batches(add_bucket, batch_format="pyarrow",
                          zero_copy_batch=True) \
         .groupby("_bucket").map_groups(count_bucket, batch_format="pyarrow")
-    import ray as _ray
-    parts = pa.concat_tables(_ray.get(out.to_arrow_refs()),
+    # collect_partials materializes first: a lazy to_arrow_refs() would
+    # run the groupby shuffle a second time for its schema probe
+    parts = pa.concat_tables(collect_partials(out, keep_empty=True),
                              promote_options="default")
     return parts.sort_by(user_col)
 

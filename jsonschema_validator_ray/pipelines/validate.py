@@ -2,12 +2,14 @@
 
 Lifecycle (SURVEY.md §3.5; the analog of the reference's three entry points):
 
-  1. DRIVER compile: spec → ConstraintIR (hash-stamped) → ``ray.put`` broadcast.
-  2. ``read_parquet`` → ONE fused ``map_batches`` actor-pool pass producing
-     violation rows + per-batch partial sketches (stages/rowstage.py) — the
-     only stage that touches full-width data, and it reads the input once.
-  3. Wide stage over a 3-column projection: sort-based sorted-run merge
-     (default) or salted conv_id groupby for uniqueness + monotonicity.
+  1. DRIVER compile: spec → ConstraintIR (hash-stamped).
+  2. ``read_parquet`` → ONE fused ``map_batches`` pass producing violation
+     rows + per-batch partial sketches (stages/rowstage.py) — the only stage
+     that touches full-width data, and it reads the input once.
+  3. Wide stage over a 3-column projection: a range sort on (conv_id,
+     turn_idx) and one vectorized sorted-run pass per block for uniqueness
+     + monotonicity (stages/groupcheck.py). The range partitioner splits hot
+     conversations across blocks; the boundary merge restores exactness.
   4. Driver: merge partial sketches → drift verdicts; merge run boundaries →
      cross-split violations; verdict = no violations ∧ all drift checks pass.
 
@@ -28,26 +30,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..constraints.ir import ConstraintIR, compile_constraints
-from ..rayutil import strip_meta
-from ..constraints.kernels import (
-    VIOLATION_SCHEMA,
-    group_check_table,
-    merge_boundaries,
-)
-from ..stages.groupcheck import (
-    SortedRunChecker,
-    add_salt_column,
-    make_bucket_adder,
-    make_bucket_checker,
-    make_salted_group_fn,
-    merge_run_boundaries,
-)
+from ..constraints.kernels import VIOLATION_SCHEMA, group_check_table
+from ..rayutil import collect_partials, strip_meta
+from ..stages.groupcheck import SortedRunChecker, merge_run_boundaries
 from ..stages.rowstage import RowValidateAndSketch, split_combined
 from ..state.sketches import SketchState
 
@@ -72,7 +62,7 @@ def _dataset_from(source: Source, columns: Optional[list] = None,
     The right block size is STAGE-dependent (measured at 70M turns, 32 cpus):
     the embarrassingly-parallel row stage wants many small blocks (~32 MB —
     64→256 blocks cut its wall 28 s → 10 s: long read tasks starve the map
-    otherwise), while the sort/groupby shuffle pays superlinear per-block
+    otherwise), while the wide stage's sort shuffle pays superlinear per-block
     overhead and wants few large ones (~128 MB — 256 blocks blew its wall up
     25x). Callers pick via ``target_block_bytes`` / ``blocks_per_cpu_floor``.
     parquet compresses this corpus ~4x; sizing targets IN-MEMORY bytes."""
@@ -109,201 +99,102 @@ def _dataset_from(source: Source, columns: Optional[list] = None,
                                  override_num_blocks=int(nblocks))
 
 
-def _collect(ds) -> pa.Table:
-    """Materialize a SMALL dataset driver-side as one Arrow table.
-
-    ``materialize()`` first: ``to_arrow_refs()`` on a lazy dataset runs the
-    plan and then a limit-1 schema probe; when the plan contains an
-    all-to-all (the wide-stage groupby shuffle) the probe cannot push the
-    limit down and re-executes the entire shuffle, doubling the stage wall.
-    """
-    import ray
-
-    if os.environ.get("GRAFT_COLLECT_MATERIALIZE", "1") != "0":
-        ds = ds.materialize()
-    tables = ray.get(ds.to_arrow_refs())
+def _collect(ds) -> Optional[pa.Table]:
+    """Materialize a SMALL dataset driver-side as one Arrow table (see
+    ``rayutil.collect_partials``). One empty block is kept when every block
+    is empty, so the caller still sees the stage's schema."""
+    tables = collect_partials(ds, keep_empty=True)
     tables = [t for t in tables if t.num_rows] or tables[:1]
     return pa.concat_tables(tables, promote_options="default") if tables \
         else None
 
 
+def _wide_stage(source: Source, gc,
+                merge_boundaries_now: bool) -> Optional[pa.Table]:
+    """Uniqueness + monotonicity over a pruned 3-column re-read: a global
+    range sort on (group_key, order_by), then one vectorized
+    ``SortedRunChecker`` pass per sorted block. The range partitioner splits
+    hot conversations at block granularity; the driver-side boundary merge
+    restores exact semantics across the splits."""
+    # ts is only projected when mono is checked: a unique-only spec must
+    # not require (or cast) a ts column at all (review r4)
+    cols = [gc.group_key, gc.order_by] + \
+        ([gc.ts_column] if gc.check_mono else [])
+    gds = _dataset_from(source, columns=cols)  # pruned second read
+
+    # rows with a null group/order key are excluded from group checks (they
+    # already fired required/type kernels) — and Ray's sort key comparators
+    # cannot order None against strings anyway
+    def _drop_null_keys(batch: pa.Table) -> pa.Table:
+
+        # strip_meta: metadata-carrying schemas are unhashable and defeat
+        # Ray's schema dedup inside the downstream sort shuffle
+        return strip_meta(batch).filter(
+            pc.and_(pc.is_valid(batch[gc.group_key]),
+                    pc.is_valid(batch[gc.order_by])))
+
+    sds = gds.map_batches(_drop_null_keys, batch_format="pyarrow",
+                          zero_copy_batch=True) \
+        .sort([gc.group_key, gc.order_by])
+    # edges-only boundaries suffice within one sorted stream; the
+    # partitioned runner needs every run's record for cross-partition
+    # overlap detection (independently sorted partitions)
+    checker = SortedRunChecker(
+        gc, boundary_mode="edges" if merge_boundaries_now else "all")
+    return _collect(sds.map_batches(checker, batch_format="pyarrow",
+                                    zero_copy_batch=True))
+
+
 def validate(source: Source, spec: Optional[dict] = None,
              ir: Optional[ConstraintIR] = None, *, mode: str = "enumerate",
-             strategy: str = "sort", sketch: bool = True,
-             batch_size: int = 65536, concurrency=None,
-             use_actors: bool = False, overlap_stages: bool = False,
+             sketch: bool = True, batch_size: int = 65536,
              merge_boundaries_now: bool = True,
              out_dir: Optional[str] = None) -> ValidationResult:
     """Run the full validation pipeline. Ray must already be initialised.
 
-    ``use_actors``: the row stage's setup (constraint IR) is cheap, so plain
-    tasks (default) outperform an actor pool — tasks reuse warm workers and
-    need no pool ramp-up. Set True for deployments where the stage gains heavy
-    per-actor state (models, codecs); ops/text.py and ops/multimodal.py keep
-    actor pools because their init is genuinely heavy.
-    """
-    import ray
-
+    The row stage runs as plain tasks, not an actor pool: its setup (the
+    constraint IR) is cheap, and tasks reuse warm workers with no pool
+    ramp-up. The row and wide stages run one after the other: overlapping
+    them on a CPU-saturated node was measured zero-sum."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
 
     if ir is None:
         ir = compile_constraints(spec)
-
-    if strategy == "fused":
-        # fused feeds its single read into the groupby shuffle: use the
-        # shuffle-friendly (large-block) sizing
-        ds = _dataset_from(source)
-    else:
-        # row stage: many small blocks (pipeline-friendly; see _dataset_from)
-        ds = _dataset_from(source, target_block_bytes=32 * 1024 * 1024,
-                           blocks_per_cpu_floor=8)
-    t0 = time.perf_counter()
-
-    if strategy == "fused":
-        # single execution: one read, one shuffle (stages/fused.py)
-        from ..stages.fused import (FusedRowStage, make_fused_bucket_check,
-                                    split_fused)
-
-        gc = ir.group_check
-        assert gc is not None, "fused strategy requires a group check"
-        avail = int(ray.cluster_resources().get("CPU", 4))
-        stage = FusedRowStage(ir, gc, 4 * avail, mode=mode, sketch=sketch)
-        result = _collect(
-            ds.map_batches(stage, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=batch_size)
-            .groupby("_bucket")
-            .map_groups(make_fused_bucket_check(gc), batch_format="pyarrow"))
-        t_row = t_wide = time.perf_counter() - t0
-        t_merge_start = time.perf_counter()
-        all_viol, state, counters = split_fused(result)
-        return _finish(all_viol, state, counters, ir, sketch, mode, strategy,
-                       t0, t_row, t_wide, t_merge_start, out_dir, None)
-
-    def run_row_stage() -> pa.Table:
-        kwargs = dict(batch_format="pyarrow", zero_copy_batch=True,
-                      batch_size=batch_size)
-        if use_actors:
-            avail = int(ray.cluster_resources().get("CPU", 4))
-            pool = concurrency or (max(2, avail - 2), max(2, avail - 2))
-            ir_ref = ray.put(ir)  # broadcast once; each actor reads zero-copy
-            combined = ds.map_batches(
-                RowValidateAndSketch,
-                fn_constructor_args=(ir_ref,),
-                fn_constructor_kwargs={"mode": mode, "sketch": sketch},
-                concurrency=pool, **kwargs)
-        else:
-            stage = RowValidateAndSketch(ir, mode=mode, sketch=sketch)
-            combined = ds.map_batches(stage, **kwargs)
-        return _collect(combined)
-
     gc = ir.group_check
 
-    def run_wide_stage() -> Optional[pa.Table]:
-        if gc is None:
-            return None
-        # ts is only projected when mono is checked: a unique-only spec must
-        # not require (or cast) a ts column at all (review r4)
-        cols = [gc.group_key, gc.order_by] + \
-            ([gc.ts_column] if gc.check_mono else [])
-        gds = _dataset_from(source, columns=cols)  # pruned second read
-
-        # rows with a null group/order key are excluded from group checks (they
-        # already fired required/type kernels) — and Ray's sort/groupby key
-        # comparators cannot order None against strings anyway
-        def _drop_null_keys(batch: pa.Table) -> pa.Table:
-
-            # strip_meta: metadata-carrying schemas are unhashable and defeat
-            # Ray's schema dedup inside the downstream sort/groupby shuffle
-            return strip_meta(batch).filter(
-                pc.and_(pc.is_valid(batch[gc.group_key]),
-                        pc.is_valid(batch[gc.order_by])))
-
-        gds = gds.map_batches(_drop_null_keys, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        if strategy == "hashbucket":
-            # hash-partition whole conversations into ~4 buckets per CPU;
-            # each bucket is sorted and checked vectorized. Fastest strategy;
-            # assumes max conversation size ≪ bucket size (use "sort" for
-            # pathological skew — it splits inside conversations).
-            avail = int(ray.cluster_resources().get("CPU", 4))
-            out = gds.map_batches(make_bucket_adder(gc, 4 * avail),
-                                  batch_format="pyarrow",
-                                  zero_copy_batch=True) \
-                .groupby("_bucket") \
-                .map_groups(make_bucket_checker(gc), batch_format="pyarrow")
-        elif strategy == "sort":
-            sds = gds.sort([gc.group_key, gc.order_by])
-            # edges-only boundaries suffice within one sorted stream; the
-            # partitioned runner needs every run's record for cross-partition
-            # overlap detection (independently sorted partitions)
-            checker = SortedRunChecker(
-                gc, boundary_mode="edges" if merge_boundaries_now else "all")
-            out = sds.map_batches(checker, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-        elif strategy == "groupby":
-            salted = gds.map_batches(add_salt_column(gc), batch_format="pyarrow",
-                                     zero_copy_batch=True)
-            out = salted.groupby([gc.group_key, "_salt"]).map_groups(
-                make_salted_group_fn(gc), batch_format="pyarrow")
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        return _collect(out)
-
-    # The two full-data stages are independent DAGs (full-width row pass vs
-    # pruned-column shuffle). On a CPU-saturated single node, overlapping them
-    # is zero-sum (measured: contention cancels the overlap), so they run
-    # sequentially by default; ``overlap_stages=True`` interleaves them for
-    # IO-bound clusters where the read doesn't saturate compute.
-    t_row = t_wide = 0.0
-    if overlap_stages:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(2) as pool:
-            f_row = pool.submit(run_row_stage)
-            f_wide = pool.submit(run_wide_stage)
-            combined_t = f_row.result()
-            t_row = time.perf_counter() - t0
-            out_t = f_wide.result()
-            t_wide = time.perf_counter() - t0
-    else:
-        combined_t = run_row_stage()
-        t_row = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        out_t = run_wide_stage()
-        t_wide = time.perf_counter() - t1
+    # row stage: many small blocks (pipeline-friendly; see _dataset_from)
+    ds = _dataset_from(source, target_block_bytes=32 * 1024 * 1024,
+                       blocks_per_cpu_floor=8)
+    t0 = time.perf_counter()
+    stage = RowValidateAndSketch(ir, mode=mode, sketch=sketch)
+    combined_t = _collect(ds.map_batches(
+        stage, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=batch_size))
+    t_row = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    out_t = _wide_stage(source, gc, merge_boundaries_now) \
+        if gc is not None else None
+    t_wide = time.perf_counter() - t1
 
     t_merge_start = time.perf_counter()
     violations, state, counters = split_combined(combined_t)
     viol_parts = [violations]
     boundaries = None
     if out_t is not None and "kind" not in out_t.column_names:
-        # all groups/blocks emitted empty tables: Ray loses the schema of an
+        # all blocks emitted empty tables: Ray loses the schema of an
         # all-empty map output — semantically there is no wide-stage output
         out_t = None
     if out_t is not None:
         gv = out_t.filter(pc.equal(out_t["kind"], "violation"))
         viol_parts.append(pa.table(
             {n: gv[n] for n in VIOLATION_SCHEMA.names}, schema=VIOLATION_SCHEMA))
-        b = out_t.filter(pc.equal(out_t["kind"], "boundary"))
-        if strategy == "sort":
-            boundaries = b.drop_columns(["kind", "turn_idx", "constraint_id",
-                                         "message"])
-            if merge_boundaries_now:
-                viol_parts.append(merge_run_boundaries(boundaries, gc))
-        elif strategy == "groupby":
-            if merge_boundaries_now:
-                viol_parts.append(merge_boundaries(b, gc))
-            boundaries = None  # bucket-keyed; partitioned mode uses sort strategy
-        # hashbucket: whole conversations per bucket — nothing to merge
-
+        boundaries = out_t.filter(pc.equal(out_t["kind"], "boundary")) \
+            .drop_columns(["kind", "turn_idx", "constraint_id", "message"])
+        if merge_boundaries_now:
+            viol_parts.append(merge_run_boundaries(boundaries, gc))
     all_viol = pa.concat_tables(viol_parts)
-    return _finish(all_viol, state, counters, ir, sketch, mode, strategy,
-                   t0, t_row, t_wide, t_merge_start, out_dir, boundaries)
 
-
-def _finish(all_viol, state, counters, ir, sketch, mode, strategy,
-            t0, t_row, t_wide, t_merge_start, out_dir, boundaries) -> ValidationResult:
     drift = state.evaluate_drift(ir.drift_checks) if sketch else []
     # verdict mode materializes NO row-violation rows — the per-batch verdict
     # counters are the only trace of row-kernel failures, so fold them in
@@ -328,7 +219,6 @@ def _finish(all_viol, state, counters, ir, sketch, mode, strategy,
         "wall_wide_stage_s": round(t_wide, 3),
         "wall_driver_merge_s": round(time.perf_counter() - t_merge_start, 3),
         "ir_hash": ir.ir_hash,
-        "strategy": strategy,
         "mode": mode,
     }
 
@@ -354,9 +244,9 @@ def _partition_paths(out_dir: str, pid: int) -> tuple[str, str]:
 
 def run_partitioned(input_files: Sequence[str], out_dir: str,
                     spec: Optional[dict] = None, ir: Optional[ConstraintIR] = None,
-                    *, files_per_partition: int = 1, strategy: str = "sort",
+                    *, files_per_partition: int = 1,
                     max_partitions: Optional[int] = None,
-                    batch_size: int = 65536, concurrency=None,
+                    batch_size: int = 65536,
                     finalize_run: bool = True) -> dict:
     """Validate input files in resumable partitions.
 
@@ -367,15 +257,6 @@ def run_partitioned(input_files: Sequence[str], out_dir: str,
     partitions whose manifest exists with a matching IR hash are SKIPPED
     (``max_partitions`` limits work per call — used by resume tests to
     simulate a mid-run kill)."""
-    if strategy != "sort":
-        # only the sort strategy emits per-run boundary records in
-        # partitioned mode; finalize() needs them to restore cross-partition
-        # uniqueness/monotonicity — groupby/hashbucket would SILENTLY drop
-        # violations straddling partitions (review r4)
-        raise ValueError(
-            f"run_partitioned requires strategy='sort' (got {strategy!r}): "
-            "cross-partition boundary merge is only defined for the "
-            "sorted-run strategy")
     if ir is None:
         ir = compile_constraints(spec)
     os.makedirs(os.path.join(out_dir, "violations"), exist_ok=True)
@@ -394,8 +275,8 @@ def run_partitioned(input_files: Sequence[str], out_dir: str,
         if max_partitions is not None and done >= max_partitions:
             continue
         t0 = time.perf_counter()
-        res = validate(files, ir=ir, strategy=strategy, batch_size=batch_size,
-                       concurrency=concurrency, merge_boundaries_now=False)
+        res = validate(files, ir=ir, batch_size=batch_size,
+                       merge_boundaries_now=False)
         pq.write_table(res.violations, vpath)
         manifest = {
             "partition": pid,
@@ -538,10 +419,7 @@ def _recheck_convs(manifests: list, convs: list, gc) -> pa.Table:
     for c in convs:
         g = whole.filter(pc.equal(whole[gc.group_key], c))
         if g.num_rows:
-            out = group_check_table(g, gc, emit_boundary=False)
-            v = out.filter(pc.equal(out["kind"], "violation"))
-            parts.append(pa.table({n: v[n] for n in VIOLATION_SCHEMA.names},
-                                  schema=VIOLATION_SCHEMA))
+            parts.append(group_check_table(g, gc))
     return pa.concat_tables(parts) if parts else VIOLATION_SCHEMA.empty_table()
 
 

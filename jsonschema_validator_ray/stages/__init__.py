@@ -1,13 +1,11 @@
-"""Ray Data stages: fused row-validate+sketch actor stage, sorted-run group
-checker, salted-groupby group checker."""
+"""Ray Data stages: the fused row-validate+sketch stage and the sorted-run
+group checker of the sort-based wide stage."""
 
 from .rowstage import RowValidateAndSketch, COMBINED_SCHEMA, split_combined
 from .groupcheck import (
     RUN_BOUNDARY_SCHEMA,
     SortedRunChecker,
     merge_run_boundaries,
-    make_salted_group_fn,
-    add_salt_column,
 )
 
 __all__ = [
@@ -17,6 +15,4 @@ __all__ = [
     "RUN_BOUNDARY_SCHEMA",
     "SortedRunChecker",
     "merge_run_boundaries",
-    "make_salted_group_fn",
-    "add_salt_column",
 ]

@@ -1,22 +1,15 @@
 """Wide-stage checks: (conv_id, turn_idx) uniqueness + ts monotonicity.
 
-Two interchangeable strategies (pipelines/validate.py picks via ``strategy``):
+Sorted-run merge (skew-proof): ``ds.sort(["conv_id", "turn_idx"])``
+range-partitions the (projected, 3-column) stream; each sorted block is
+checked with ONE fully-vectorized pass over all its conversation runs (no
+per-group Python), emitting one tiny boundary record per run; the driver
+merges boundaries to catch duplicates/regressions that straddle block splits.
+Hot conversations are split by the range partitioner at block granularity —
+bounded block size regardless of key skew — and the boundary merge restores
+exact global semantics.
 
-1. **sorted-run merge** (default, skew-proof): ``ds.sort(["conv_id",
-   "turn_idx"])`` range-partitions the (projected, 3-column) stream; each
-   sorted block is checked with ONE fully-vectorized pass over all its
-   conversation runs (no per-group Python), emitting one tiny boundary record
-   per run; the driver merges boundaries to catch duplicates/regressions that
-   straddle block splits. Hot conversations are split by the range partitioner
-   at block granularity — bounded block size regardless of key skew — and the
-   boundary merge restores exact global semantics.
-
-2. **salted groupby** (north-star shape): ``groupby([conv_id, salt])`` where
-   ``salt = turn_idx // salt_span`` splits hot conversations explicitly;
-   per-group check + cross-bucket boundary merge (constraints/kernels.py
-   group_check_table / merge_boundaries).
-
-Check semantics (shared, FIXTURES.md §B):
+Check semantics (FIXTURES.md §B):
 - rows with null (or uncastable — see kernels.order_key_int64) turn_idx are
   excluded (they already fired type/required),
 - unique: adjacent equal turn_idx per conv (over all remaining rows),
@@ -24,6 +17,9 @@ Check semantics (shared, FIXTURES.md §B):
   a violation is ``ts < prev_ts`` at a different turn; equal consecutive ts
   pass (matches the oracle's ``WHERE ts < lag(ts)``); violations attribute
   to the regressing row's turn_idx.
+
+Also home to the shared hash/run primitives of the ops' hash-bucket
+groupbys (``np_column_hash``, ``run_starts``).
 """
 
 from __future__ import annotations
@@ -33,11 +29,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..constraints.ir import GroupCheck
-from ..rayutil import strip_meta
 from ..constraints.kernels import (
     VIOLATION_SCHEMA,
-    group_check_table,
-    merge_boundaries,
     order_key_int64,
     ts_key_int64,
     _np,
@@ -254,7 +247,7 @@ def merge_run_boundaries(boundaries: pa.Table, gc: GroupCheck) -> pa.Table:
     }, schema=VIOLATION_SCHEMA)
 
 
-# --- strategy: hash-bucket groupby (fastest; whole conversations per bucket)
+# --- hash/run primitives shared by the ops' hash-bucket groupbys ---------
 
 _FNV_OFFSET = np.uint64(1469598103934665603)
 _FNV_PRIME = np.uint64(1099511628211)
@@ -313,66 +306,11 @@ def run_starts(sorted_key) -> np.ndarray:
     return first
 
 
-def make_bucket_adder(gc: GroupCheck, n_buckets: int):
-    """Vectorized hash-partition key: ``_bucket = np_column_hash(key) % n``
-    — no Python row materialization; import-failure-tolerant."""
-    def add_bucket(batch: pa.Table) -> pa.Table:
-
-        h = (np_column_hash(batch[gc.group_key])
-             % np.uint64(n_buckets)).astype(np.int64)
-        return strip_meta(batch).append_column("_bucket",
-                                               pa.array(h, pa.int64()))
-    return add_bucket
-
-
-def make_bucket_checker(gc: GroupCheck):
-    """map_groups fn for groupby("_bucket"): sort the bucket by (group_key,
-    order_by) — vectorized Arrow sort over ~bucket_size rows — and run the
-    sorted-run checker over it. Buckets contain WHOLE conversations, so no
-    boundary merge is needed.
-
-    Skew note: a conversation is never split, so a pathological conversation
-    comparable to a bucket in size needs the skew-proof "sort" strategy (range
-    partitioning splits inside conversations and the boundary merge restores
-    semantics) or the salted "groupby" strategy."""
-    checker = SortedRunChecker(gc, boundary_mode="edges")
-
-    def check_bucket(group: pa.Table) -> pa.Table:
-        srt = group.sort_by([(gc.group_key, "ascending"),
-                             (gc.order_by, "ascending")])
-        out = checker(srt)
-        return out.filter(pc.equal(out["kind"], "violation"))
-    return check_bucket
-
-
-# --- strategy: salted groupby (north-star shape) ---------------------------
-
-def add_salt_column(gc: GroupCheck):
-    """map_batches fn adding ``_salt = turn_idx // salt_span`` (null → -1)."""
-    def fn(batch: pa.Table) -> pa.Table:
-        # order_key_int64 nulls uncastable keys; _np turns those into NaN
-        tid = _np(order_key_int64(batch[gc.order_by])).astype(np.float64)
-
-        salt = np.floor_divide(np.nan_to_num(tid, nan=-float(gc.salt_span)),
-                               float(gc.salt_span)).astype(np.int64)
-        return strip_meta(batch).append_column("_salt",
-                                               pa.array(salt, pa.int64()))
-    return fn
-
-
-def make_salted_group_fn(gc: GroupCheck):
-    """map_groups fn for groupby([group_key, _salt])."""
-    def fn(group: pa.Table) -> pa.Table:
-        return group_check_table(group, gc, emit_boundary=True)
-    return fn
-
-
 __all__ = [
     "SortedRunChecker",
     "merge_run_boundaries",
-    "merge_boundaries",
-    "add_salt_column",
-    "make_salted_group_fn",
+    "np_column_hash",
+    "run_starts",
     "RUN_BOUNDARY_SCHEMA",
     "CHECK_OUT_SCHEMA",
 ]

@@ -6,12 +6,10 @@ table (`kind` column discriminates). The input is read exactly once; the
 combined output is tiny relative to the input, so the pipeline's only
 full-data stage is this map_batches.
 
-Run as an ACTOR POOL (`map_batches(RowValidateAndSketch, concurrency=...)`):
-the constructor deserializes/compiles the broadcast Constraint IR once per
-actor (ray.put on the driver → dereferenced constructor arg), the per-batch
-call only evaluates vectorized kernels — the stateful-stage pattern of
-SURVEY.md §2.2. Partial sketches are emitted PER BATCH (not per actor) so
-retried/resumed batches merge idempotently by key.
+Run as plain tasks (an instance is passed to ``map_batches``): the
+constructor compiles the row validator once on the driver, and the
+per-batch call only evaluates vectorized kernels. Partial sketches are
+emitted PER BATCH so retried/resumed batches merge idempotently by key.
 """
 
 from __future__ import annotations
@@ -35,12 +33,10 @@ COMBINED_SCHEMA = pa.schema([
 
 
 class RowValidateAndSketch:
-    """Callable-class stage for ``map_batches``; IR compiled once per actor."""
+    """Callable stage for ``map_batches``; row validator compiled once."""
 
-    def __init__(self, ir, mode: str = "enumerate", sketch: bool = True):
-        if not isinstance(ir, ConstraintIR):   # broadcast ObjectRef → local fetch
-            import ray
-            ir = ray.get(ir)
+    def __init__(self, ir: ConstraintIR, mode: str = "enumerate",
+                 sketch: bool = True):
         self.ir = ir
         self.mode = mode
         self.sketch = sketch

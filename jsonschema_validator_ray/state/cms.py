@@ -59,7 +59,10 @@ class CountMinSketch:
         return int(np.ceil(np.e / self.width * self.n))
 
     def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        assert self.width == other.width and self.d == other.d
+        if self.width != other.width or self.d != other.d:
+            raise ValueError(
+                f"cannot merge a ({other.d}, {other.width}) Count-Min sketch "
+                f"into a ({self.d}, {self.width}) one")
         self.table += other.table
         self.n += other.n
         return self

@@ -152,6 +152,17 @@ def test_cms_upper_bound_and_merge_under_collisions():
         assert true[k] <= e <= true[k] + bound, (k, true[k], e, bound)
 
 
+def test_cms_merge_rejects_shape_mismatch():
+    """Merging sketches of different shapes is a typed error that holds
+    under ``python -O`` (a bare assert would vanish there)."""
+    from jsonschema_validator_ray.state.cms import CountMinSketch
+
+    with pytest.raises(ValueError, match="Count-Min"):
+        CountMinSketch(width=64, d=4).merge(CountMinSketch(width=64, d=1))
+    with pytest.raises(ValueError, match="Count-Min"):
+        CountMinSketch(width=64, d=4).merge(CountMinSketch(width=32, d=4))
+
+
 def test_welch_ttest_matches_direct_formula(ray_session):
     import ray.data
 
@@ -314,6 +325,17 @@ def test_check_constraint_compile_errors():
             "checks": [{"name": "bad", "assert": {"column": "a",
                                                   "op": "in",
                                                   "values": []}}]}})
+    # a comparison with neither `value` nor `other_column`, and an assert
+    # with no `column`, are SchemaErrors naming the check, not KeyErrors
+    for op in ("eq", "ne", "lt", "le", "gt", "ge"):
+        with _pytest.raises(SchemaError, match="'no_operand'"):
+            compile_constraints({"version": 1, "columns": {}, "table": {
+                "checks": [{"name": "no_operand",
+                            "assert": {"column": "a", "op": op}}]}})
+    with _pytest.raises(SchemaError, match="'no_column'"):
+        compile_constraints({"version": 1, "columns": {}, "table": {
+            "checks": [{"name": "no_column",
+                        "assert": {"op": "lt", "value": 3}}]}})
 
 
 def test_random_projection_deterministic_and_shape(ray_session):

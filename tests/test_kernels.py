@@ -1,6 +1,6 @@
 """Unit tests for the Constraint IR compiler and Arrow kernels on hand-built
 batches (SURVEY.md §5.2 item 2): nulls, empty batches, absent columns,
-single-row groups, salted-group boundaries."""
+single-row groups, run boundaries."""
 
 import numpy as np
 import pyarrow as pa
@@ -13,7 +13,7 @@ from jsonschema_validator_ray.constraints import (
     make_row_validator,
 )
 from jsonschema_validator_ray.constraints.ir import GroupCheck, TOOL_DICTIONARY
-from jsonschema_validator_ray.constraints.kernels import merge_boundaries
+from jsonschema_validator_ray.constraints.kernels import VIOLATION_SCHEMA
 from jsonschema_validator_ray.jsonvalidate import SchemaError
 
 
@@ -148,7 +148,7 @@ def test_ir_hash_stable_and_sensitive():
 
 # --- group checks ---------------------------------------------------------
 
-GC = GroupCheck(salt_span=4096)
+GC = GroupCheck()
 
 
 def group_tbl(tids, tss, conv="c1"):
@@ -160,8 +160,7 @@ def group_tbl(tids, tss, conv="c1"):
 
 
 def gviols(tbl, gc=GC):
-    out = group_check_table(tbl, gc)
-    v = out.filter(pa.compute.equal(out["kind"], "violation"))
+    v = group_check_table(tbl, gc)
     return sorted(zip(v["conv_id"].to_pylist(), v["turn_idx"].to_pylist(),
                       v["constraint_id"].to_pylist()))
 
@@ -176,6 +175,7 @@ def test_group_duplicate_key():
     t = group_tbl([0, 1, 1], ["2024-01-01T00:00:00", "2024-01-01T00:00:01",
                               "2024-01-01T00:00:01"])
     assert gviols(t) == [("c1", 1, "unique:(conv_id,turn_idx)")]
+    assert group_check_table(t, GC).schema == VIOLATION_SCHEMA
 
 
 def test_group_swapped_pair_mono():
@@ -189,35 +189,6 @@ def test_group_single_row_and_null_tid():
     assert gviols(group_tbl([5], ["2024-01-01T00:00:00"])) == []
     assert gviols(group_tbl([0, None], ["2024-01-01T00:00:00",
                                         "2024-01-01T00:00:01"])) == []
-
-
-def test_salted_boundary_merge_detects_cross_bucket_regression():
-    # bucket 0 (tid<4096) ends later in time than bucket 1 starts
-    b0 = group_check_table(
-        group_tbl([0, 1], ["2024-01-01T00:00:00", "2024-01-01T00:10:00"]), GC)
-    b1 = group_check_table(
-        group_tbl([4096, 4097], ["2024-01-01T00:05:00", "2024-01-01T00:06:00"]), GC)
-    import pyarrow.compute as pc
-    both = pa.concat_tables([b0, b1])
-    boundaries = both.filter(pc.equal(both["kind"], "boundary"))
-    assert boundaries.num_rows == 2
-    out = merge_boundaries(boundaries, GC)
-    got = list(zip(out["conv_id"].to_pylist(), out["turn_idx"].to_pylist(),
-                   out["constraint_id"].to_pylist()))
-    assert got == [("c1", 4096, "mono:turn_idx")]
-
-
-def test_salted_boundary_merge_clean_and_distinct_convs():
-    b0 = group_check_table(
-        group_tbl([0, 1], ["2024-01-01T00:00:00", "2024-01-01T00:00:01"]), GC)
-    b1 = group_check_table(
-        group_tbl([4096], ["2024-01-01T00:05:00"]), GC)
-    c_other = group_check_table(
-        group_tbl([4096], ["2023-01-01T00:00:00"], conv="c0"), GC)
-    import pyarrow.compute as pc
-    both = pa.concat_tables([b0, b1, c_other])
-    boundaries = both.filter(pc.equal(both["kind"], "boundary"))
-    assert merge_boundaries(boundaries, GC).num_rows == 0
 
 
 def test_sorted_run_checker_null_group_key():
@@ -245,9 +216,7 @@ def test_group_check_table_null_group_key():
         "ts": ts("2024-01-01T00:00:05", "2024-01-01T00:00:00",
                  "2024-01-01T00:00:01"),
     })
-    out = group_check_table(t, GC)
-    v = out.filter(pa.compute.equal(out["kind"], "violation"))
-    assert v.num_rows == 0
+    assert group_check_table(t, GC).num_rows == 0
 
 
 def test_merge_run_boundaries_carries_past_nan_runs():

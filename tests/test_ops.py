@@ -737,11 +737,8 @@ def test_shuffle_feeders_strip_unhashable_metadata():
     shuffle key must emit metadata-free (hence hashable) schemas."""
     import pytest as _pytest
 
-    from jsonschema_validator_ray.constraints.ir import GroupCheck
     from jsonschema_validator_ray.ops.aggregates import _add_bucket_fn
     from jsonschema_validator_ray.rayutil import strip_meta
-    from jsonschema_validator_ray.stages.groupcheck import (add_salt_column,
-                                                            make_bucket_adder)
 
     tbl = pa.table({
         "conv_id": pa.array([1, 2, 3], pa.int64()),
@@ -750,12 +747,9 @@ def test_shuffle_feeders_strip_unhashable_metadata():
     with _pytest.raises(TypeError):
         hash(tbl.schema)                      # the root cause, pinned
 
-    gc = GroupCheck(group_key="conv_id", order_by="turn_idx")
-    for fn in (make_bucket_adder(gc, 8), add_salt_column(gc),
-               _add_bucket_fn("conv_id", 8)):
-        out = fn(tbl)
-        assert out.schema.metadata is None
-        hash(out.schema)                      # hashable again
+    out = _add_bucket_fn("conv_id", 8)(tbl)
+    assert out.schema.metadata is None
+    hash(out.schema)                          # hashable again
     # no-op (and no copy) on already-clean tables
     clean = tbl.replace_schema_metadata(None)
     assert strip_meta(clean) is clean

@@ -1,6 +1,6 @@
 """End-to-end golden run (SURVEY.md §5.2 item 3): deterministic synthetic
 transcripts with enumerated injected violations; the engine must find exactly
-that set under both wide-stage strategies; kill/resume must be byte-identical;
+that set; kill/resume must be byte-identical;
 drift verdicts must separate injected/drifted/clean variants."""
 
 import json
@@ -44,14 +44,26 @@ def test_generator_deterministic(tmp_path):
     assert a.golden_violations.equals(b.golden_violations)
 
 
-@pytest.mark.parametrize("strategy", ["sort", "groupby", "hashbucket", "fused"])
-def test_engine_matches_golden(ray_session, corpus, strategy):
+# "sort" names the one wide stage: a range sort on (conv_id, turn_idx) and a
+# SortedRunChecker pass per sorted block.
+@pytest.mark.parametrize("wide_stage", ["sort"])
+def test_engine_matches_golden(ray_session, corpus, wide_stage):
     gen, spec = corpus
-    res = validate(gen.out_dir, spec=spec, strategy=strategy)
-    assert rows(res.violations) == rows(gen.golden_violations)
+    res = validate(gen.out_dir, spec=spec)
+    assert rows(res.violations) == rows(gen.golden_violations), wide_stage
     assert res.passed is False                      # row violations exist
     assert all(d["passed"] for d in res.drift)      # ...but no drift
     assert res.metrics["n_rows"] > gen.n_turns      # includes duplicated rows
+
+
+def test_fused_reports_row_violation_count(ray_session, corpus):
+    """The fused row-validate+sketch stage's own counter agrees with the
+    golden row violations (everything but the mono:/unique: group checks)."""
+    gen, spec = corpus
+    res = validate(gen.out_dir, spec=spec)
+    expected = sum(1 for c in gen.golden_violations["constraint_id"].to_pylist()
+                   if not (c.startswith("mono:") or c.startswith("unique:")))
+    assert res.metrics["n_row_violations"] == expected
 
 
 def test_verdict_mode_fail_fast(ray_session, corpus):
@@ -136,17 +148,9 @@ def test_partitioned_refuses_stale_ir(ray_session, corpus, tmp_path):
         assert json.load(f)["ir_hash"] == ir2.ir_hash
 
 
-def test_fused_reports_row_violation_count(ray_session, corpus):
-    gen, spec = corpus
-    res = validate(gen.out_dir, spec=spec, strategy="fused")
-    expected = sum(1 for c in gen.golden_violations["constraint_id"].to_pylist()
-                   if not (c.startswith("mono:") or c.startswith("unique:")))
-    assert res.metrics["n_row_violations"] == expected
-
-
 def test_null_group_key_rows_survive_pipeline(ray_session, tmp_path):
     """A corpus row with null conv_id reports required/type violations from
-    the row stage and does not crash any wide-stage strategy."""
+    the row stage and does not crash the wide stage."""
     import pyarrow.parquet as _pq
     from jsonschema_validator_ray.constraints.ir import TRANSCRIPT_SPEC
 
@@ -163,10 +167,9 @@ def test_null_group_key_rows_survive_pipeline(ray_session, tmp_path):
     })
     p = str(tmp_path / "nullconv.parquet")
     _pq.write_table(t, p)
-    for strategy in ("sort", "groupby", "hashbucket", "fused"):
-        res = validate(p, spec=TRANSCRIPT_SPEC, strategy=strategy)
-        cids = sorted(res.violations["constraint_id"].to_pylist())
-        assert cids == ["required:conv_id", "type:conv_id"], (strategy, cids)
+    res = validate(p, spec=TRANSCRIPT_SPEC)
+    cids = sorted(res.violations["constraint_id"].to_pylist())
+    assert cids == ["required:conv_id", "type:conv_id"], cids
 
 
 def test_generator_shard_count_invariant(tmp_path):
@@ -253,18 +256,28 @@ run_partitioned({json.dumps(gen.files)}, {json.dumps(out)},
     parts = sorted(os.listdir(os.path.join(out, "violations")))
     got = pa.concat_tables([
         pq.read_table(os.path.join(out, "violations", f)) for f in parts])
-    clean = validate(gen.out_dir, spec=spec, strategy="sort")
+    clean = validate(gen.out_dir, spec=spec)
     assert rows(got) == rows(clean.violations)
 
 
 def test_strategies_agree_on_random_corpora(ray_session, tmp_path):
-    """All four wide-stage strategies must produce IDENTICAL violation sets
-    on randomized adversarial corpora (null keys, duplicate turn_idx, null
-    ts, shuffled row order) — not just on the structured golden corpus."""
+    """validate() and the partitioned path (run_partitioned + read_violations)
+    must produce IDENTICAL violation sets on randomized adversarial corpora
+    (null keys, duplicate turn_idx, null ts, shuffled row order). Each corpus
+    is shuffled across 3 files, so conversations straddle partitions and the
+    finalize-time boundary merge and overlap re-check both run."""
     import numpy as np
     from jsonschema_validator_ray.constraints.ir import TRANSCRIPT_SPEC
+    from jsonschema_validator_ray.pipelines import read_violations
 
+    def vrows(v):
+        return sorted(zip(v["conv_id"].to_pylist(), v["turn_idx"].to_pylist(),
+                          v["constraint_id"].to_pylist(),
+                          v["message"].to_pylist()), key=repr)
+
+    ir = compile_constraints(TRANSCRIPT_SPEC)
     rng = np.random.default_rng(77)
+    rechecked = 0
     for case in range(3):
         n = 400
         convs = rng.integers(0, 40, n)
@@ -286,20 +299,20 @@ def test_strategies_agree_on_random_corpora(ray_session, tmp_path):
             "tool": pa.array([None] * n, pa.string()),
             "ts": pa.array(ts.tolist(), pa.timestamp("us")),
         })
-        p = str(tmp_path / f"rand{case}.parquet")
-        pq.write_table(t, p)
-        results = {}
-        for strategy in ("sort", "groupby", "hashbucket", "fused"):
-            res = validate(p, spec=TRANSCRIPT_SPEC, strategy=strategy,
-                           sketch=False)
-            v = res.violations
-            results[strategy] = sorted(
-                zip(v["conv_id"].to_pylist(), v["turn_idx"].to_pylist(),
-                    v["constraint_id"].to_pylist(),
-                    v["message"].to_pylist()), key=repr)
-        base = results["sort"]
-        for strategy, got in results.items():
-            assert got == base, (case, strategy)
+        d = tmp_path / f"rand{case}"
+        d.mkdir()
+        shard = rng.integers(0, 3, n)
+        files = []
+        for k in range(3):
+            files.append(str(d / f"part{k}.parquet"))
+            pq.write_table(t.filter(pa.array(shard == k)), files[-1])
+        single = validate(files, ir=ir, sketch=False)
+        out = str(tmp_path / f"out{case}")
+        summary = run_partitioned(files, out, ir=ir, files_per_partition=1)
+        assert summary["complete"] is True
+        rechecked += len(summary["overlap_rechecked_convs"])
+        assert vrows(read_violations(out)) == vrows(single.violations), case
+    assert rechecked > 0        # the overlap re-check path actually ran
 
 
 def test_read_violations_matches_single_shot(ray_session, corpus, tmp_path):
@@ -322,7 +335,7 @@ def test_read_violations_matches_single_shot(ray_session, corpus, tmp_path):
     assert r["complete"] is True
     viol = read_violations(out)
     assert viol.num_rows == r["n_violations"]
-    single = validate(gen.out_dir, ir=ir, strategy="sort")
+    single = validate(gen.out_dir, ir=ir)
     assert rows(viol) == rows(single.violations)
 
 

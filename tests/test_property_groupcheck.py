@@ -21,7 +21,7 @@ from jsonschema_validator_ray.stages.groupcheck import (
     merge_run_boundaries,
 )
 
-GC = GroupCheck(salt_span=4096)
+GC = GroupCheck()
 
 # one conversation's rows: (turn_idx | None, ts_us | None)
 conv_rows = st.lists(

@@ -1,7 +1,7 @@
 """Round-4 core-review regressions stay fixed: malformed-data robustness of
 the validation engine (mistyped key columns, null-typed columns, unique-only
-specs), fused-strategy custom keys, pointer compile errors, multi-type nested
-refusal, and the run_partitioned strategy guard."""
+specs), custom group keys, pointer compile errors, and multi-type nested
+refusal."""
 
 import numpy as np
 import pyarrow as pa
@@ -10,7 +10,7 @@ import pytest
 
 from jsonschema_validator_ray.constraints import compile_constraints
 from jsonschema_validator_ray.jsonvalidate import SchemaError, compile_schema
-from jsonschema_validator_ray.pipelines import run_partitioned, validate
+from jsonschema_validator_ray.pipelines import validate
 
 TS = [np.datetime64("2024-01-01T00:00:00", "us") + np.timedelta64(i, "s")
       for i in range(4)]
@@ -63,7 +63,7 @@ def test_null_typed_columns_do_not_crash_kernels():
 def test_mistyped_order_and_ts_columns_do_not_crash(ray_session, tmp_path):
     """String-typed turn_idx / ts columns fire Invalid Type in the row stage
     and are EXCLUDED from group checks instead of crashing the wide-stage
-    cast (review r4) — under every strategy."""
+    cast (review r4)."""
     t = pa.table({
         "conv_id": pa.array(["c1"] * 4, pa.string()),
         "turn_idx": pa.array(["0", "1", "x", "3"], pa.string()),
@@ -73,10 +73,9 @@ def test_mistyped_order_and_ts_columns_do_not_crash(ray_session, tmp_path):
     spec = {"columns": {"turn_idx": {"type": "integer"},
                         "ts": {"type": "timestamp"}},
             "table": {"monotonic": {"column": "ts"}, "unique": True}}
-    for strategy in ("sort", "groupby", "hashbucket", "fused"):
-        res = validate(p, spec=spec, strategy=strategy, sketch=False)
-        cids = sorted(set(res.violations["constraint_id"].to_pylist()))
-        assert cids == ["type:ts", "type:turn_idx"], (strategy, cids)
+    res = validate(p, spec=spec, sketch=False)
+    cids = sorted(set(res.violations["constraint_id"].to_pylist()))
+    assert cids == ["type:ts", "type:turn_idx"], cids
 
 
 def test_unique_only_spec_without_ts_column(ray_session, tmp_path):
@@ -89,17 +88,15 @@ def test_unique_only_spec_without_ts_column(ray_session, tmp_path):
     p = _write(tmp_path, "nots.parquet", t)
     spec = {"columns": {"turn_idx": {"type": "integer"}},
             "table": {"unique": True}}
-    for strategy in ("sort", "groupby", "hashbucket"):
-        res = validate(p, spec=spec, strategy=strategy, sketch=False)
-        got = res.violations.to_pylist()
-        assert len(got) == 1 and got[0]["constraint_id"] \
-            == "unique:(conv_id,turn_idx)", (strategy, got)
+    res = validate(p, spec=spec, sketch=False)
+    got = res.violations.to_pylist()
+    assert len(got) == 1 and got[0]["constraint_id"] \
+        == "unique:(conv_id,turn_idx)", got
 
 
-def test_fused_strategy_custom_group_keys(ray_session, tmp_path):
-    """fused projects rows into fixed conv_id/turn_idx/ts columns; the bucket
-    checker must read THOSE, not the spec's custom key names (review r4) —
-    and the emitted cids keep the spec's original names."""
+def test_custom_group_keys(ray_session, tmp_path):
+    """The wide stage reads the spec's custom key names (review r4), and the
+    emitted cids keep those names."""
     t = pa.table({
         "session_id": pa.array(["s1", "s1", "s1", "s1"], pa.string()),
         # dup key at (s1, 2); ts regression at seq=2 (TS1 < TS2)
@@ -112,7 +109,7 @@ def test_fused_strategy_custom_group_keys(ray_session, tmp_path):
             "table": {"monotonic": {"group_by": "session_id",
                                     "order_by": "seq", "column": "when"},
                       "unique": True}}
-    res = validate(p, spec=spec, strategy="fused", sketch=False)
+    res = validate(p, spec=spec, sketch=False)
     cids = sorted(res.violations["constraint_id"].to_pylist())
     assert cids == ["mono:seq", "unique:(session_id,seq)"], cids
 
@@ -131,15 +128,6 @@ def test_multi_type_nested_declaration_refused():
     assert any(c.kind == "nested_type" for c in ir.row_constraints)
 
 
-def test_run_partitioned_rejects_non_sort_strategies(tmp_path):
-    """groupby/hashbucket would silently drop cross-partition boundary
-    violations in partitioned mode — refuse them up front (review r4)."""
-    for strategy in ("groupby", "hashbucket", "fused"):
-        with pytest.raises(ValueError, match="sort"):
-            run_partitioned(["x.parquet"], str(tmp_path / "out"),
-                            spec={"columns": {}}, strategy=strategy)
-
-
 def test_equal_consecutive_ts_pass_mono(ray_session, tmp_path):
     """Mono semantics match the oracle's `ts < lag(ts)`: equal consecutive
     ts PASS; only a decrease fires (review r4 — docs aligned to code)."""
@@ -150,9 +138,8 @@ def test_equal_consecutive_ts_pass_mono(ray_session, tmp_path):
     })
     p = _write(tmp_path, "eqts.parquet", t)
     spec = {"columns": {}, "table": {"monotonic": {"column": "ts"}}}
-    for strategy in ("sort", "groupby", "hashbucket"):
-        res = validate(p, spec=spec, strategy=strategy, sketch=False)
-        got = res.violations.to_pylist()
-        # only the decrease at turn 3 fires; the equality at turn 2 passes
-        assert [(g["turn_idx"], g["constraint_id"]) for g in got] \
-            == [(3, "mono:turn_idx")], (strategy, got)
+    res = validate(p, spec=spec, sketch=False)
+    got = res.violations.to_pylist()
+    # only the decrease at turn 3 fires; the equality at turn 2 passes
+    assert [(g["turn_idx"], g["constraint_id"]) for g in got] \
+        == [(3, "mono:turn_idx")], got

@@ -123,3 +123,45 @@ def test_sessionize_string_user_ids(ray_session):
     got = dict(zip(out["user_id"].to_pylist(),
                    out["n_sessions"].to_pylist()))
     assert got == {"u_1": 2, "u_2": 1}
+
+
+def test_sessionize_counts_runs_one_execution(ray_session, tmp_path):
+    """sessionize_counts ends in a groupby shuffle. A lazy to_arrow_refs()
+    collect re-ran that shuffle for its schema probe; collecting through
+    rayutil.collect_partials runs the plan once. A UDF ahead of the shuffle
+    marks each call with a file, so its call count must equal that of one
+    plain materialize() of the same input."""
+    import uuid
+
+    import ray.data
+
+    from jsonschema_validator_ray.ops.aggregates import sessionize_counts
+
+    base = np.datetime64("2024-01-01T00:00:00", "us")
+    blocks = [pa.table({
+        "user_id": pa.array([b, b, 10 + b], pa.int64()),
+        "ts": pa.array([base, base + np.timedelta64(2, "h"), base],
+                       pa.timestamp("us")),
+    }) for b in range(4)]
+
+    def counted(name):
+        d = tmp_path / name
+        d.mkdir()
+
+        def mark(batch):
+            (d / uuid.uuid4().hex).touch()
+            return batch
+
+        ds = ray.data.from_arrow(blocks).map_batches(
+            mark, batch_format="pyarrow", batch_size=None)
+        return d, ds
+
+    once, ds = counted("materialize")
+    ds.materialize()
+    seen, ds = counted("sessionize")
+    out = sessionize_counts(ds, "user_id", "ts", "ts")
+    assert dict(zip(out["user_id"].to_pylist(),
+                    out["n_sessions"].to_pylist())) \
+        == {u: 2 if u < 10 else 1 for u in [0, 1, 2, 3, 10, 11, 12, 13]}
+    assert len(list(once.iterdir())) >= 1
+    assert len(list(seen.iterdir())) == len(list(once.iterdir()))
