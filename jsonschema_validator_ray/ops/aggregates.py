@@ -18,7 +18,7 @@ import pyarrow.compute as pc
 # module-level so worker closures carry these by value when the package
 # is cloudpickled by-value (runtime relative imports inside worker fns
 # break the no-PYTHONPATH fallback — ADVICE r4)
-from ..rayutil import collect_partials, strip_meta
+from ..rayutil import collect_partials, default_buckets, strip_meta
 from ..stages.groupcheck import np_column_hash, run_starts
 
 
@@ -54,10 +54,9 @@ def profile_columns(ds, numeric_cols: Sequence[str] = (),
             out[f"set_{c}"] = [[str(v) for v in vals.to_pylist()]]
         return pa.table(out)
 
-    import ray
-    parts = pa.concat_tables(ray.get(
+    parts = pa.concat_tables(collect_partials(
         ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs()),
+                       zero_copy_batch=True), keep_empty=True),
         promote_options="default")
 
     final = {"n_rows": pa.array([pc.sum(parts["n_rows"]).as_py()], pa.int64())}
@@ -95,10 +94,9 @@ def value_counts(ds, column: str, flag_set: Optional[Sequence] = None,
             "n": pa.array([i["counts"].as_py() for i in vc], pa.int64()),
         })
 
-    import ray
-    parts = pa.concat_tables(ray.get(
+    parts = pa.concat_tables(collect_partials(
         ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs()),
+                       zero_copy_batch=True), keep_empty=True),
         promote_options="default")
     folded = pa.TableGroupBy(parts, column).aggregate([("n", "sum")])
     out = pa.table({column: folded[column],
@@ -139,21 +137,14 @@ def top_k(ds, key: str, k: int, *, descending: bool = True,
             order.append((tiebreak, "ascending"))
         return batch.sort_by(order).slice(0, k)
 
-    import ray
-    parts = pa.concat_tables(ray.get(
+    parts = pa.concat_tables(collect_partials(
         ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs()),
+                       zero_copy_batch=True), keep_empty=True),
         promote_options="default")
     order = [(key, "descending" if descending else "ascending")]
     if tiebreak:
         order.append((tiebreak, "ascending"))
     return parts.sort_by(order).slice(0, k)
-
-
-def _hash_buckets(n_buckets: int) -> int:
-    from ..rayutil import default_buckets
-
-    return default_buckets(n_buckets)
 
 
 def _argmax_rows(table: pa.Table, key: str, order_col: str,
@@ -185,7 +176,7 @@ def grouped_argmax(ds, key: str, order_col: str, *,
     Null keys / null order values are dropped in the partial stage."""
     from ..rayutil import ensure_worker_importable, strip_meta
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
 
     def partial(batch: pa.Table) -> pa.Table:
 
@@ -497,10 +488,9 @@ def grouped_corr(ds, key: str, x: str, y: str) -> pa.Table:
             [("x", "count"), ("x", "sum"), ("y", "sum"),
              ("xx", "sum"), ("yy", "sum"), ("xy", "sum")])
 
-    import ray
-    parts = pa.concat_tables(ray.get(
+    parts = pa.concat_tables(collect_partials(
         ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs()),
+                       zero_copy_batch=True), keep_empty=True),
         promote_options="default")
     final = pa.TableGroupBy(parts, key).aggregate(
         [("x_count", "sum"), ("x_sum", "sum"), ("y_sum", "sum"),
@@ -548,10 +538,9 @@ def grouped_linear_regression(ds, key: str, x: str, y: str) -> pa.Table:
             [("x", "count"), ("x", "sum"), ("y", "sum"),
              ("xx", "sum"), ("xy", "sum")])
 
-    import ray
-    parts = pa.concat_tables(ray.get(
+    parts = pa.concat_tables(collect_partials(
         ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs()),
+                       zero_copy_batch=True), keep_empty=True),
         promote_options="default")
     final = pa.TableGroupBy(parts, key).aggregate(
         [("x_count", "sum"), ("x_sum", "sum"), ("y_sum", "sum"),
@@ -644,10 +633,9 @@ def grouped_skew_kurt(ds, key: str, x: str) -> pa.Table:
                          "p3": pa.array(m3s, pa.float64()),
                          "p4": pa.array(m4s, pa.float64())})
 
-    import ray
-    tables = ray.get(ds.map_batches(partial, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-                     .materialize().to_arrow_refs())
+    tables = collect_partials(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True),
+        keep_empty=True)
     tables = [t for t in tables if t.num_rows] or tables[:1]
     parts = pa.concat_tables(tables, promote_options="default")
     # driver fold: Pébay pairwise merge per key, sequential over the
@@ -724,7 +712,7 @@ def grouped_quantiles(ds, key: str, value: str, qs: Sequence[float],
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
     qs = list(qs)
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
     qnames = [f"q{int(round(q * 100)):02d}" for q in qs]
 
     def bucket_quantiles(group: pa.Table) -> pa.Table:
@@ -786,7 +774,7 @@ def grouped_top_k(ds, key: str, order_col: str, k: int, *,
     """
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
 
     def bucket_topk(group: pa.Table) -> pa.Table:
         body = group.drop_columns(["_bucket"])
@@ -822,9 +810,9 @@ def sessionize_counts(ds, user_col: str, ts_col: str, order_col: str,
 
     Execution: hash-bucket groupby keeps WHOLE users per bucket (no session
     can straddle buckets), then one vectorized pass per bucket."""
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = _hash_buckets(0)
+    ds = ds.select_columns(list(dict.fromkeys([user_col, ts_col,
+                                               order_col])))
+    n_buckets = default_buckets(0)
     add_bucket = _add_bucket_fn(user_col, n_buckets)
 
     def count_bucket(group: pa.Table) -> pa.Table:
@@ -857,8 +845,6 @@ def sessionize_counts(ds, user_col: str, ts_col: str, order_col: str,
     out = ds.map_batches(add_bucket, batch_format="pyarrow",
                          zero_copy_batch=True) \
         .groupby("_bucket").map_groups(count_bucket, batch_format="pyarrow")
-    # collect_partials materializes first: a lazy to_arrow_refs() would
-    # run the groupby shuffle a second time for its schema probe
     parts = pa.concat_tables(collect_partials(out, keep_empty=True),
                              promote_options="default")
     return parts.sort_by(user_col)
@@ -885,7 +871,9 @@ def adjacent_pairs(ds, group_col: str, order_col: str, tag_col: str,
     null); null tags match neither side of the transition."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    ds = ds.select_columns(list(dict.fromkeys([group_col, order_col,
+                                               tag_col, payload_col])))
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(group_col, n_buckets)
 
     def pairs_bucket(group: pa.Table) -> pa.Table:
@@ -1024,7 +1012,7 @@ def truncate_context(ds, group_col: str, order_col: str, text_col: str,
     Dataset; nothing driver-side."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(group_col, n_buckets)
     sort_keys = [(group_col, "ascending"), (order_col, "ascending")] \
         + ([(tag_col, "ascending")] if tag_col else []) \
@@ -1074,7 +1062,7 @@ def alternation_stats(ds, group_col: str, order_col: str, tag_col: str,
     in-bucket; group-cardinality rows leave each bucket."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(group_col, n_buckets)
     sort_keys = [(group_col, "ascending"), (order_col, "ascending"),
                  (tag_col, "ascending")] \
@@ -1133,7 +1121,9 @@ def render_conversations(ds, group_col: str, order_col: str, role_col: str,
     machinery), zero per-row Python."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    ds = ds.select_columns(list(dict.fromkeys([group_col, order_col,
+                                               role_col, text_col])))
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(group_col, n_buckets)
     sort_keys = [(group_col, "ascending"), (order_col, "ascending"),
                  (role_col, "ascending"), (text_col, "ascending")]
@@ -1198,9 +1188,6 @@ def cooccurrence_pairs(ds, key_col: str, value_col: str,
     domain²-scale table. Per-key distinct-value fan-out is assumed
     bucket-memory-bounded (true for enum-like domains; a 10^5-value key
     would emit 10^10 pairs and needs a cap upstream)."""
-    import ray
-
-    from ..rayutil import default_buckets
     n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(key_col, n_buckets)
 
@@ -1261,14 +1248,14 @@ def cooccurrence_pairs(ds, key_col: str, value_col: str,
         return pa.table({"a": gb["a"], "b": gb["b"],
                          "n_keys": gb["count_all"].cast(pa.int64())})
 
-    all_parts = ray.get(
+    all_parts = collect_partials(
         ds.map_batches(distinct_partial, batch_format="pyarrow",
                        zero_copy_batch=True)
         .map_batches(add_bucket, batch_format="pyarrow",
                      zero_copy_batch=True)
         .groupby("_bucket").map_groups(pairs_bucket,
-                                       batch_format="pyarrow")
-        .to_arrow_refs())
+                                       batch_format="pyarrow"),
+        keep_empty=True)
     parts = [t for t in all_parts if t.num_rows]
     if not parts:
         # preserve the VALUE type in the empty result: buckets emit typed
@@ -1348,12 +1335,8 @@ def profile_table(ds, columns: list,
             "max_float": pa.array([r[7] for r in rows], pa.float64()),
         })
 
-    import ray
-
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).materialize().to_arrow_refs())
-        if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True))
     # ONE pass over the partial tables; distinct blobs union in BATCHED
     # merges: pending blobs accumulate to ~64 MB then fold into the merged
     # array via one np.unique — driver peak stays bounded at
@@ -1456,8 +1439,6 @@ def heavy_hitters(ds, column: str, k: int = 10,
     an exact groupby when the domain is unbounded (cf. hot domains / URLs
     in web-scale corpora).
     """
-    import ray
-
     def partial(batch: pa.Table) -> pa.Table:
         vc = batch.select([column]).drop_null() \
             .group_by(column).aggregate(
@@ -1470,7 +1451,7 @@ def heavy_hitters(ds, column: str, k: int = 10,
         # the error term rides as a dedicated NULL-item marker ROW (not a
         # repeated column): per-partial accounting then survives any block
         # bundling/coalescing Ray applies between map outputs and
-        # to_arrow_refs blocks
+        # the collected blocks
         items = pa.concat_arrays(
             [vc[column].cast(pa.string()).combine_chunks(),
              pa.array([None], pa.string())])
@@ -1482,9 +1463,8 @@ def heavy_hitters(ds, column: str, k: int = 10,
              pa.array([dmax], pa.int64())])
         return pa.table({"item": items, "cnt": cnts, "dmax": dmaxs})
 
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True))
     merged = pa.concat_tables(parts, promote_options="default")
     # conservative certificate: one dmax per PARTIAL (its marker row — each
     # partial can hide at most dmax occurrences of any absent item)
@@ -1531,9 +1511,6 @@ def grouped_heavy_hitters(ds, group_col: str, item_col: str, k: int = 3,
     per block regardless of item cardinality, and the driver fold is
     (group-domain x capacity)-scale — the bounded-memory alternative to an
     exact two-key groupby when the item domain is unbounded."""
-    from ..rayutil import collect_partials, ensure_worker_importable
-    ensure_worker_importable()
-
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.select([group_col, item_col]).drop_null()
         vc = t.group_by([group_col, item_col]).aggregate(
@@ -1631,9 +1608,7 @@ def rolling_distinct(ds, key_col: str, ts_col: str, window_days: int = 7,
     inside gaps — are dropped exactly like the SQL join against the
     observed-day list. Null keys/timestamps drop.
     """
-    from ..rayutil import collect_partials, ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(key_col, n_buckets)
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
@@ -1718,15 +1693,16 @@ def interval_coverage(ds, key: str, start_col: str, end_col: str,
     the per-segment OFFSET trick (add ``seg_id * K`` with ``K`` = the
     bucket's end-range so segment blocks dominate earlier ones — one
     ``np.maximum.accumulate``, no Python loop; requires ``n_groups x
-    range < 2^63``, i.e. ~10^5 groups per bucket x ~10^13 us (4 months)
-    — raise ``n_buckets`` for wider corpora). A new island starts where
-    ``start > running_max(end)`` of all earlier rows in the group; island
-    extents then fall out of ``np.maximum.reduceat`` over island starts.
+    range < 2^63``, i.e. ~10^5 groups per bucket x ~10^13 us (4 months);
+    a bucket past it raises ``ValueError`` — raise ``n_buckets``). A new
+    island starts where ``start > running_max(end)`` of all earlier rows
+    in the group; island extents then fall out of ``np.maximum.reduceat``
+    over island starts.
     Degenerate/null rows drop: SQL-matching ``WHERE key IS NOT NULL AND
     start IS NOT NULL AND end IS NOT NULL AND end > start``."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(key, n_buckets)
     cols = [key, start_col, end_col]
 
@@ -1754,7 +1730,12 @@ def interval_coverage(ds, key: str, start_col: str, end_col: str,
         seg_start = np.concatenate([[True], ~_same_group_mask(g, n)])
         seg_id = np.cumsum(seg_start) - 1
         base = e.min()
-        k = int(e.max() - base) + 1
+        k = int(e.max()) - int(base) + 1
+        if (int(seg_id[-1]) + 1) * k >= 2 ** 63:
+            raise ValueError(
+                f"interval_coverage: {int(seg_id[-1]) + 1} groups x end "
+                f"range {k} in one bucket exceed the int64 offset limit "
+                f"2^63; raise n_buckets (now {n_buckets})")
         shifted = (e - base) + seg_id * k           # segment blocks dominate
         run_end = np.maximum.accumulate(shifted) - seg_id * k + base
         prev_run_end = np.empty_like(run_end)
@@ -1799,14 +1780,9 @@ def quantile_threshold_filter(ds_factory, key: str, value: str,
     null key or null value are dropped (a null key joins nothing; ``NULL >
     p99`` is never true).
     """
-    import ray
-
     qname = f"q{int(round(q * 100)):02d}"
-    th = pa.concat_tables(
-        [t for t in ray.get(
-            grouped_quantiles(ds_factory(), key, value, [q],
-                              n_buckets=n_buckets).materialize()
-            .to_arrow_refs()) if t.num_rows],
+    th = pa.concat_tables(collect_partials(grouped_quantiles(
+        ds_factory(), key, value, [q], n_buckets=n_buckets)),
         promote_options="default")
     th = th.drop_null()             # null-key pseudo-groups join nothing
     keys = th[key].combine_chunks()
@@ -1849,7 +1825,7 @@ def funnel_steps(ds, user_col: str, ts_col: str, type_col: str,
     """
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(user_col, n_buckets)
     step_names = list(steps)
     out_cols = [f"t_{s}" for s in step_names]
@@ -1906,8 +1882,6 @@ def grouped_approx_distinct(ds, key: str, value: str,
     distinct pair. Intended for enum-sized key domains (the per-batch
     group loop is over groups present, never rows).
     """
-    import ray
-
     from ..state.hll import HyperLogLog, hash64
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1927,9 +1901,8 @@ def grouped_approx_distinct(ds, key: str, value: str,
             regs.append(h.to_bytes())
         return pa.table({key: uk, "regs": pa.array(regs, pa.binary())})
 
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True))
     merged = pa.concat_tables(parts, promote_options="default")
     folded: dict = {}
     for kv, rb in zip(merged[key].to_pylist(), merged["regs"].to_pylist()):
@@ -1954,7 +1927,7 @@ def grouped_exact_distinct(ds, key: str, value: str,
     the row count."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
 
     def pair_partial(batch: pa.Table) -> pa.Table:
 
@@ -2002,7 +1975,7 @@ def grouped_rolling_window(ds, key: str, ts: str, value_int: str,
     """
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(key, n_buckets)
     sort_cols = [ts] + ([tiebreak] if tiebreak else [])
 
@@ -2047,8 +2020,6 @@ def grouped_tdigest_quantiles(ds, key: str, value: str,
     partial+final shape as `grouped_approx_distinct`: each block emits one
     serialized digest per group present; the driver folds per group.
     """
-    import ray
-
     from ..state.tdigest import TDigest
 
     qs = list(qs)
@@ -2067,9 +2038,8 @@ def grouped_tdigest_quantiles(ds, key: str, value: str,
             blobs.append(d.to_bytes())
         return pa.table({key: uk, "td": pa.array(blobs, pa.binary())})
 
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True))
     merged = pa.concat_tables(parts, promote_options="default")
     folded: dict = {}
     for kv, blob in zip(merged[key].to_pylist(), merged["td"].to_pylist()):
@@ -2120,12 +2090,9 @@ def mad_outlier_filter(ds_factory, key: str, value: str, k: float = 3.0,
     group (>=50% of values identical) flags every value not equal to its
     median, matching the strict ``>`` in the SQL oracle.
     """
-    import ray
-
     def _kv(ds_q, col):
-        t = pa.concat_tables(
-            [b for b in ray.get(ds_q.materialize().to_arrow_refs())
-             if b.num_rows], promote_options="default").drop_null()
+        t = pa.concat_tables(collect_partials(ds_q),
+                             promote_options="default").drop_null()
         return t[key].combine_chunks(), \
             t[col].to_numpy(zero_copy_only=False)
 
@@ -2185,8 +2152,6 @@ def dense_time_counts(ds, ts_col: str, unit: str = "hour") -> pa.Table:
     final fold is a driver table like ``events_per_day``'s, not a
     shuffle); the dense calendar comes from one ``np.arange`` over
     datetime64. Null timestamps are dropped. Returns ``(bucket, n)``."""
-    import ray
-
     step = {"day": np.timedelta64(24 * 3600 * 10**6, "us"),
             "hour": np.timedelta64(3600 * 10**6, "us"),
             "minute": np.timedelta64(60 * 10**6, "us")}[unit]
@@ -2200,11 +2165,8 @@ def dense_time_counts(ds, ts_col: str, unit: str = "hour") -> pa.Table:
             "bucket": g["bucket"],
             "cnt": g["count_all"].cast(pa.int64())}))
 
-    parts = pa.concat_tables(
-        [t for t in ray.get(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .materialize().to_arrow_refs()) if t.num_rows],
+    parts = pa.concat_tables(collect_partials(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True)),
         promote_options="default")
     if parts.num_rows == 0:
         return pa.table({"bucket": pa.array([], pa.timestamp("us")),
@@ -2229,8 +2191,6 @@ def grouped_zscore_flags(ds_factory, key: str, value: str,
     ``(mean, stddev_pop)`` into a streaming vectorized flag count. Null
     keys/values drop (SQL inner-join parity). Returns a driver-side
     ``pa.Table`` of ``(key, n, n_out)``."""
-    import ray
-
     def moments(batch: pa.Table) -> pa.Table:
         sel = batch.select([key, value])
         both = pc.and_kleene(pc.is_valid(sel[key]), pc.is_valid(sel[value]))
@@ -2244,11 +2204,8 @@ def grouped_zscore_flags(ds_factory, key: str, value: str,
         return strip_meta(pa.table({key: g[key], "n": g["n_sum"],
                                     "s": g["s_sum"], "s2": g["s2_sum"]}))
 
-    parts = pa.concat_tables(
-        [t for t in ray.get(
-            ds_factory().map_batches(moments, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-            .materialize().to_arrow_refs()) if t.num_rows],
+    parts = pa.concat_tables(collect_partials(ds_factory().map_batches(
+        moments, batch_format="pyarrow", zero_copy_batch=True)),
         promote_options="default")
     folded = pa.TableGroupBy(parts, key).aggregate(
         [("n", "sum"), ("s", "sum"), ("s2", "sum")]).drop_null()
@@ -2280,11 +2237,8 @@ def grouped_zscore_flags(ds_factory, key: str, value: str,
         return strip_meta(pa.table({key: g[key], "n": g["n_sum"],
                                     "n_out": g["n_out_sum"]}))
 
-    fparts = pa.concat_tables(
-        [t for t in ray.get(
-            ds_factory().map_batches(flags, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-            .materialize().to_arrow_refs()) if t.num_rows],
+    fparts = pa.concat_tables(collect_partials(ds_factory().map_batches(
+        flags, batch_format="pyarrow", zero_copy_batch=True)),
         promote_options="default")
     g = pa.TableGroupBy(fparts, key).aggregate([("n", "sum"),
                                                 ("n_out", "sum")])
@@ -2311,11 +2265,7 @@ def cohort_retention(ds, user_col: str, ts_col: str,
     by a tiny driver groupby. Null users/timestamps drop. Days are
     day-truncated timestamps; ``age_days`` is an exact integer (both
     sides are midnight-aligned)."""
-    import ray
-
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(user_col, n_buckets)
     day_us = 86_400_000_000
 
@@ -2364,7 +2314,7 @@ def cohort_retention(ds, user_col: str, ts_col: str,
     out = ds.map_batches(pairs_partial, batch_format="pyarrow",
                          zero_copy_batch=True) \
         .groupby("_bucket").map_groups(bucket_cells, batch_format="pyarrow")
-    plist = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+    plist = collect_partials(out)
     if not plist:
         return pa.table({"cohort_day": pa.array([], pa.timestamp("us")),
                          "age_days": pa.array([], pa.int64()),
@@ -2395,7 +2345,7 @@ def interevent_gaps(ds, key: str, ts_col: str, order_col: str,
     timestamps drop; single-event groups (no gap) emit nothing."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
-    n_buckets = _hash_buckets(n_buckets)
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(key, n_buckets)
     cols = [key, ts_col, order_col]
 

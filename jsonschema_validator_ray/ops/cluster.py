@@ -30,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..rayutil import collect_partials
 from .simsearch import _to_matrix
 
 
@@ -40,11 +41,7 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 
 def _tiny_collect(ds) -> pa.Table:
     """Materialize a partial-sized (k × n_blocks rows) Dataset driver-side."""
-    import ray
-
-    tables = [t for t in ray.get(ds.materialize().to_arrow_refs())
-              if t.num_rows]
-    return pa.concat_tables(tables, promote_options="default")
+    return pa.concat_tables(collect_partials(ds), promote_options="default")
 
 
 def seed_centroids(ds, vec_column: str, id_column: str, k: int) -> np.ndarray:

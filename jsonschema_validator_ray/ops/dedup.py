@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..rayutil import block_refs, collect_partials
 from ..state.hll import hash64, hash_pair128
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -733,7 +734,7 @@ def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
         n_verify_parts = 2 * avail_cpus()
 
     pairs_mat = pairs_ds.materialize()
-    pair_refs = pairs_mat.to_arrow_refs()
+    pair_refs = block_refs(pairs_mat)
     empty = pa.table({"id_a": pa.array([], pa.int64()),
                       "id_b": pa.array([], pa.int64()),
                       "jaccard": pa.array([], pa.float64())})
@@ -783,7 +784,7 @@ def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
         # materialized in the object store AND fits the broadcast cap —
         # skip the candidate-filter scan entirely (one full execution
         # saved; the index builder reads the blob columns by name).
-        return broadcast_verify(ds.to_arrow_refs(), id_column, text_column)
+        return broadcast_verify(block_refs(ds), id_column, text_column)
 
     def _to_blob_rows(sel: pa.Table) -> pa.Table:
         if sets_precomputed:
@@ -816,7 +817,7 @@ def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
         id_parts = [np.unique(np.concatenate([
             t["id_a"].to_numpy(zero_copy_only=False).astype(np.int64),
             t["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)]))
-            for t in ray.get(pairs_mat.to_arrow_refs())
+            for t in ray.get(pair_refs)
             if t.num_rows and "id_a" in t.column_names]
         cand_ids = np.unique(np.concatenate(id_parts)) if id_parts \
             else np.zeros(0, np.int64)
@@ -851,7 +852,7 @@ def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
                               zero_copy_batch=True).materialize()
 
     if sets_mat.size_bytes() <= broadcast_cap_bytes:
-        return broadcast_verify(sets_mat.to_arrow_refs(),
+        return broadcast_verify(block_refs(sets_mat),
                                 "doc_id", "shingles")
     else:
         def shingle_rows(batch: pa.Table) -> pa.Table:
@@ -892,8 +893,8 @@ def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
             zero_copy_batch=True).groupby("vp").map_groups(
             verify, batch_format="pyarrow")
 
-    parts = [t for t in ray.get(out_ds.to_arrow_refs())
-             if t.num_rows and "id_a" in t.column_names]
+    parts = [t for t in collect_partials(out_ds)
+             if "id_a" in t.column_names]
     if not parts:
         return empty
     return pa.concat_tables(parts).sort_by(
@@ -923,8 +924,6 @@ def _jaccard_verify_sharded(sets_mat, pairs_mat, n_verify_parts: int,
     bounded RSS. Costs two extra all-to-alls; the broadcast paths stay the
     fast route below ``pair_cap_bytes``. Duplicate input pairs (one per
     matching band/gram) collapse in the vp group via ``_unique_rows2``."""
-    import ray
-
     P = n_verify_parts
 
     def pair_rows(batch: pa.Table) -> pa.Table:
@@ -1038,8 +1037,8 @@ def _jaccard_verify_sharded(sets_mat, pairs_mat, n_verify_parts: int,
         .map_groups(replicate, batch_format="pyarrow").materialize()
     out_ds = pairs_vp.union(placed).groupby("vp") \
         .map_groups(verify_group, batch_format="pyarrow")
-    parts = [t for t in ray.get(out_ds.to_arrow_refs())
-             if t.num_rows and "id_a" in t.column_names]
+    parts = [t for t in collect_partials(out_ds)
+             if "id_a" in t.column_names]
     if not parts:
         return empty
     return pa.concat_tables(parts).sort_by(
@@ -1148,7 +1147,6 @@ def simhash_near_duplicates(ds, id_column: str, text_column: str = "text",
     signature, so Hamming verification happens inside the band-bucket groupby;
     pairs are deduped with a distributed groupby. Returns (id_a, id_b,
     hamming) — nothing corpus-sized ever reaches the driver."""
-    import ray
     from ray.data.aggregate import Min
 
     from ..rayutil import avail_cpus, default_buckets
@@ -1224,8 +1222,8 @@ def simhash_near_duplicates(ds, id_column: str, text_column: str = "text",
     verified = band_ds.groupby("pb").map_groups(emit, batch_format="pyarrow")
     deduped = verified.groupby(["id_a", "id_b"]).aggregate(
         Min("hamming", alias_name="hamming"))
-    parts = [t for t in ray.get(deduped.to_arrow_refs())
-             if t.num_rows and "id_a" in t.column_names]
+    parts = [t for t in collect_partials(deduped)
+             if "id_a" in t.column_names]
     if not parts:
         return pa.table({"id_a": pa.array([], pa.int64()),
                          "id_b": pa.array([], pa.int64()),
@@ -1490,8 +1488,7 @@ def dedup_against_snapshot(ds_new, snapshot_ds, id_column: str,
         route = "shuffle"
 
     if route != "shuffle":
-        parts = [t for t in ray.get(
-            snap_hashes.to_arrow_refs()) if t.num_rows]
+        parts = collect_partials(snap_hashes)
         if parts:
             folded = pa.concat_tables(parts)
             s1 = folded["h1"].to_numpy(zero_copy_only=False) \
@@ -1820,7 +1817,7 @@ def embedding_near_duplicates(ds, id_column: str, vec_column: str,
                                zero_copy_batch=True)
     # the driver holds only OBJECT REFS to the packed blocks — the matrices
     # themselves stay in the object store and ship directly to compare tasks
-    refs = blocks_ds.to_arrow_refs()
+    refs = block_refs(blocks_ds)
 
     @ray.remote
     def compare(tbl_i: pa.Table, tbl_j: pa.Table, same: bool):
@@ -1936,8 +1933,8 @@ def embedding_neardup_ivf(ds, id_column: str, vec_column: str,
                                                   batch_format="pyarrow")
     deduped = pairs.groupby(["id_a", "id_b"]).aggregate(
         Max("cos", alias_name="cos"))
-    parts = [t for t in ray.get(deduped.to_arrow_refs())
-             if t.num_rows and "id_a" in t.column_names]
+    parts = [t for t in collect_partials(deduped)
+             if "id_a" in t.column_names]
     if not parts:
         return pa.table({"id_a": pa.array([], pa.int64()),
                          "id_b": pa.array([], pa.int64()),
@@ -2101,13 +2098,11 @@ def ngram_hot_grams(grams_ds, hot_df: int, n_buckets: int,
         return pa.table({"gh": g["gh"].filter(keep),
                          "df": g["df_sum"].filter(keep).cast(pa.int64())})
 
-    import ray
-
-    parts = [t for t in ray.get(
+    parts = [t for t in collect_partials(
         grams_ds.map_batches(partial_counts, batch_format="pyarrow",
                              zero_copy_batch=True)
-        .groupby("pb").map_groups(sum_bucket, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows and "gh" in t.column_names]
+        .groupby("pb").map_groups(sum_bucket, batch_format="pyarrow"))
+        if "gh" in t.column_names]
     if not parts:
         return pa.table({"gh": pa.array([], pa.int64()),
                          "df": pa.array([], pa.int64())})

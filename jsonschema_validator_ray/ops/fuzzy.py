@@ -32,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..rayutil import collect_partials
+
 
 def levenshtein_batch(a_list, b_list) -> np.ndarray:
     """Exact Levenshtein distance for each (a_list[i], b_list[i]) pair,
@@ -82,8 +84,6 @@ def levenshtein_batch(a_list, b_list) -> np.ndarray:
 def _distinct_strings(ds, col: str) -> list:
     """One streaming pass: per-block ``pc.unique`` partials folded into
     the sorted distinct non-null value list (distinct-value scale)."""
-    import ray
-
     def part(batch: pa.Table) -> pa.Table:
         arr = batch[col]
         if isinstance(arr, pa.ChunkedArray):
@@ -91,9 +91,8 @@ def _distinct_strings(ds, col: str) -> list:
         u = pc.unique(arr.drop_null())
         return pa.table({"v": u.cast(pa.string())})
 
-    parts = [t for t in ray.get(
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        part, batch_format="pyarrow", zero_copy_batch=True))
     vals: set = set()
     for t in parts:
         vals.update(t["v"].to_pylist())
@@ -190,10 +189,8 @@ def fuzzy_join(left_ds, right_ds, left_col: str, right_col: str,
                              "dist": kd})
         return pa.table({"name_a": ka, "name_b": kb, "dist": kd})
 
-    parts = [t for t in ray.get(
-        ray.data.from_arrow(chunks)
-        .map_batches(verify, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(ray.data.from_arrow(chunks).map_batches(
+        verify, batch_format="pyarrow", zero_copy_batch=True))
     if not parts:
         return empty
     out = pa.concat_tables(parts)

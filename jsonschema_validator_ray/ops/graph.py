@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..rayutil import collect_partials
+
 
 def pagerank(edges_ds, src: str, dst: str, weight: str,
              damping: float = 0.85, iterations: int = 2) -> pa.Table:
@@ -75,10 +77,8 @@ def pagerank(edges_ds, src: str, dst: str, weight: str,
                               pa.binary()),
         })
 
-    parts = [t for t in ray.get(
-        edges.map_batches(node_partial, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-        .to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(edges.map_batches(
+        node_partial, batch_format="pyarrow", zero_copy_batch=True))
     if not parts:
         return pa.table({"node": pa.array([], pa.int64()),
                          "rank": pa.array([], pa.float64())})
@@ -117,10 +117,9 @@ def pagerank(edges_ds, src: str, dst: str, weight: str,
 
     for _ in range(iterations):
         rank_ref = ray.put(rank)
-        iter_parts = [t for t in ray.get(
-            edges.map_batches(contrib_stage(rank_ref),
-                              batch_format="pyarrow", zero_copy_batch=True)
-            .materialize().to_arrow_refs()) if t.num_rows]
+        iter_parts = collect_partials(edges.map_batches(
+            contrib_stage(rank_ref), batch_format="pyarrow",
+            zero_copy_batch=True))
         total = np.zeros(nodes.size, np.float64)
         for t in iter_parts:
             np.add.at(total, t["idx"].to_numpy(zero_copy_only=False),

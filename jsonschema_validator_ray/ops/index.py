@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..rayutil import collect_partials
+
 
 def build_inverted_index(ds, column: str = "text", id_column: str = "doc_id",
                          n_buckets: int = 0):
@@ -105,8 +107,6 @@ def term_search(index_ds, terms: list[str], mode: str = "and") -> np.ndarray:
     """Boolean search over a built index: sorted int64 doc ids matching ALL
     (``and``) or ANY (``or``) of ``terms``. Reads ONLY the matched terms'
     posting rows (a filter pushed into the index Dataset), never the corpus."""
-    import ray
-
     assert mode in ("and", "or")
     want = pa.array(sorted(set(terms)), pa.string())
 
@@ -120,8 +120,8 @@ def term_search(index_ds, terms: list[str], mode: str = "and") -> np.ndarray:
     hits = index_ds.map_batches(keep, batch_format="pyarrow",
                                 zero_copy_batch=True)
     found: dict[str, np.ndarray] = {}
-    for t in ray.get(hits.materialize().to_arrow_refs()):
-        if t.num_rows == 0 or "term" not in t.column_names:
+    for t in collect_partials(hits):
+        if "term" not in t.column_names:
             continue   # empty shuffle-partition blocks carry no schema
         for term, blob in zip(t["term"].to_pylist(),
                               t["postings"].to_pylist()):
@@ -167,8 +167,6 @@ def bm25_search(ds, terms: list[str], id_column: str = "doc_id",
     contribution is multiplied by its multiplicity in ``terms``).
     Returns ``(id_column, score_r6)``.
     """
-    import ray
-
     qterms = list(dict.fromkeys(terms))            # stable-order distinct
     qtf = np.array([terms.count(t) for t in qterms], np.float64)
     want = pa.array(qterms, pa.string())
@@ -208,10 +206,8 @@ def bm25_search(ds, terms: list[str], id_column: str = "doc_id",
                                  pa.int64()),
         })
 
-    parts = [t for t in ray.get(
-        ds.map_batches(stats_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        stats_partial, batch_format="pyarrow", zero_copy_batch=True))
     df = np.zeros(T, np.int64)
     n_docs = 0
     n_tokens = 0
@@ -251,9 +247,8 @@ def bm25_search(ds, terms: list[str], id_column: str = "doc_id",
         return pa.table({id_column: pa.array(ids[order], pa.int64()),
                          "score_r6": pa.array(r6[order], pa.float64())})
 
-    parts = [t for t in ray.get(
-        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        score, batch_format="pyarrow", zero_copy_batch=True))
     if not parts:
         return empty
     merged = pa.concat_tables(parts)

@@ -38,7 +38,7 @@ def _key_partials(ds, cols):
     anywhere (review r5; same fold shape as `aggregates.value_counts`).
     A table referenced by several checks is therefore read exactly once,
     with only the checked columns leaving storage."""
-    import ray
+    from ..rayutil import collect_partials
 
     cols = list(cols)
 
@@ -55,9 +55,8 @@ def _key_partials(ds, cols):
                 "c": vc.field("counts").cast(pa.int64())}))
         return pa.concat_tables(outs)
 
-    parts = [t for t in ray.get(
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        part, batch_format="pyarrow", zero_copy_batch=True))
     out = {}
     if not parts:
         for col in cols:

@@ -21,6 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..rayutil import collect_partials
+
 
 def _pad_to(batch: pa.Table, schema: pa.Schema) -> pa.Table:
     cols = []
@@ -494,10 +496,8 @@ def bloom_semi_join(left_ds, right_ds, left_key: str, right_key: str,
                              pa.list_(pa.int64())),
         })
 
-    parts = [t for t in ray.get(
-        right_ds.map_batches(right_partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(right_ds.map_batches(
+        right_partial, batch_format="pyarrow", zero_copy_batch=True))
     bf = BloomFilter(m_bits=m_bits, k=k)
     exact: set = set()
     for t in parts:

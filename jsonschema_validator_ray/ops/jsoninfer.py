@@ -30,7 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import strip_meta
+from ..rayutil import fold_partials, strip_meta
 
 
 class _Pairs(list):
@@ -69,9 +69,6 @@ def infer_json_schema(ds, col: str) -> pa.Table:
     rows whose payload has ``jkey`` with a value of ``jtype``. See the
     module docstring for the scale shape and the DuckDB type-name
     contract."""
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-
     def partial(batch: pa.Table) -> pa.Table:
         vals = batch[col].drop_null()
         g = pa.TableGroupBy(pa.table({"p": vals}), "p") \
@@ -107,7 +104,6 @@ def infer_json_schema(ds, col: str) -> pa.Table:
             "jkey": gb["jkey"], "jtype": gb["jtype"],
             "n": gb["n_sum"].cast(pa.int64())}))
 
-    from ..rayutil import fold_partials
     folded = fold_partials(
         ds.map_batches(partial, batch_format="pyarrow",
                        zero_copy_batch=True), ["jkey", "jtype"], ["n"])

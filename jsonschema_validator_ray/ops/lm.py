@@ -27,14 +27,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..rayutil import collect_partials
+
 
 def unigram_fit(ds, column: str = "text"):
     """One streaming pass over ``ds[column]``: returns ``(vocab, logprob,
     total)`` where ``vocab`` is the sorted distinct-token pa.StringArray,
     ``logprob[i] = ln(count_i / total)`` and ``total`` is the corpus token
     count. Null texts are dropped (SQL ``unnest`` semantics)."""
-    import ray
-
     def partial(batch: pa.Table) -> pa.Table:
         col = batch[column]
         if isinstance(col, pa.ChunkedArray):
@@ -46,10 +46,8 @@ def unigram_fit(ds, column: str = "text"):
         return pa.table({"w": g["w"],
                          "c": g["count_all"].cast(pa.int64())})
 
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True))
     if not parts:
         return (pa.array([], pa.string()), np.zeros(0, np.float64), 0)
     folded = pa.TableGroupBy(pa.concat_tables(parts), "w") \

@@ -231,19 +231,15 @@ def mixture_sample(ds_factory, group_column: str, key_column: str,
     the driver, no shuffle), pass 2 is one stratified hash-bucket groupby
     keeping only the capped rows. Returns a Dataset of kept rows + ``rk``.
     """
-    import ray
-
-    import pyarrow.compute as pc
+    from ..rayutil import collect_partials
 
     def cnt(batch: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(batch.select([group_column]), group_column) \
             .aggregate([([], "count_all")])
         return g.rename_columns([group_column, "n"])
 
-    parts = [t for t in ray.get(
-        ds_factory().map_batches(cnt, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    parts = collect_partials(ds_factory().map_batches(
+        cnt, batch_format="pyarrow", zero_copy_batch=True))
     avail: dict = {}
     for t in pa.concat_tables(parts).group_by(group_column) \
             .aggregate([("n", "sum")]).to_pylist():

@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..rayutil import collect_partials
+
 
 def _to_matrix(col) -> np.ndarray:
     """Arrow list<float> / fixed_size_list<float> column → (n, dim) float64
@@ -83,10 +85,9 @@ def brute_force_topk(ds, query_vectors: np.ndarray, id_column: str,
             "cos": pa.array(out_cos, pa.float64()),
         })
 
-    import ray as _ray
-    parts = pa.concat_tables(_ray.get(
+    parts = pa.concat_tables(collect_partials(
         ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs()),
+                       zero_copy_batch=True), keep_empty=True),
         promote_options="default")
     # final: per-query global top-k with deterministic tiebreak
     out = []
@@ -106,8 +107,6 @@ def train_ivf_centroids(ds, vec_column: str, n_centroids: int = 16,
     the WHOLE corpus (ops/sampling.py), not the first ``sample_rows`` rows —
     first-rows sampling biases centroids toward the leading files' clusters.
     ``ds.count()`` is metadata-only for parquet sources."""
-    import ray
-
     src = ds.select_columns([c for c in (id_column, vec_column) if c])
     if id_column is not None:
         from .sampling import hash_sample
@@ -119,12 +118,10 @@ def train_ivf_centroids(ds, vec_column: str, n_centroids: int = 16,
         # keep EVERY hash survivor (~2x sample_rows): a limit() here would
         # keep the first sample_rows in dataset order and re-introduce the
         # leading-files bias the hash sample exists to remove (review r4)
-        sample = pa.concat_tables(ray.get(src.to_arrow_refs()),
-                                  promote_options="default")
     else:
-        sample = pa.concat_tables(ray.get(
-            src.limit(sample_rows).to_arrow_refs()),
-            promote_options="default")
+        src = src.limit(sample_rows)
+    sample = pa.concat_tables(collect_partials(src, keep_empty=True),
+                              promote_options="default")
     if id_column is not None:
         # block-arrival order is NOT deterministic (parallel read tasks);
         # sorting the sample by id makes the k-means init — and therefore
@@ -194,9 +191,9 @@ def ivf_topk(ds, query_vectors: np.ndarray, id_column: str, vec_column: str,
             "cos": pa.array(out_cos, pa.float64()),
         })
 
-    parts = pa.concat_tables(ray.get(
+    parts = pa.concat_tables(collect_partials(
         ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs()),
+                       zero_copy_batch=True), keep_empty=True),
         promote_options="default")
     out = []
     for qi in sorted(set(parts["query_idx"].to_pylist())):

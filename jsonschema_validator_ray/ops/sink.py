@@ -35,6 +35,7 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..rayutil import collect_partials
 
 
 def _commit_file(out_dir: str, basename: str, write_fn) -> tuple[str, bool]:
@@ -102,7 +103,6 @@ def write_partitioned_parquet(ds, out_dir: str) -> dict:
     """Write ``ds`` to ``out_dir`` as content-addressed Parquet parts.
     Returns the manifest dict {files: [...], n_rows, n_skipped}."""
     import polars as pl  # noqa: F401  (kept importable check out of tasks)
-    import ray
 
     os.makedirs(out_dir, exist_ok=True)
     _sweep_stale_tmps(out_dir)
@@ -117,13 +117,9 @@ def write_partitioned_parquet(ds, out_dir: str) -> dict:
                          "n_rows": pa.array([batch.num_rows], pa.int64()),
                          "skipped": pa.array([skipped], pa.bool_())})
 
-    # materialize(): to_arrow_refs on a lazy plan appends a limit-1 schema
-    # probe that would re-run write_block on one block (a harmless but
-    # wasted skip-write thanks to content addressing)
-    results = [t for t in ray.get(
-        ds.map_batches(write_block, batch_format="pyarrow",
-                       zero_copy_batch=True).materialize().to_arrow_refs())
-        if t.num_rows and "path" in t.column_names]
+    results = [t for t in collect_partials(ds.map_batches(
+        write_block, batch_format="pyarrow", zero_copy_batch=True))
+        if "path" in t.column_names]
     # manifest counts derive from the DEDUPLICATED file set: identical-content
     # blocks commit one file, so summing per-task n_rows would overcount
     per_file: dict[str, int] = {}
@@ -190,7 +186,6 @@ def write_hive_partitioned(ds, out_dir: str, partition_col: str) -> dict:
     ``{partitions: {value: n_rows}, files, n_skipped}``.
     """
     import pyarrow.compute as pc
-    import ray
 
     os.makedirs(out_dir, exist_ok=True)
     _sweep_stale_tmps(out_dir)
@@ -225,10 +220,9 @@ def write_hive_partitioned(ds, out_dir: str, partition_col: str) -> dict:
             commit(nulls, NULL_PART)
         return pa.table({k: pa.array(v) for k, v in rows.items()})
 
-    results = [t for t in ray.get(
-        ds.map_batches(write_block, batch_format="pyarrow",
-                       zero_copy_batch=True).materialize().to_arrow_refs())
-        if t.num_rows and "path" in t.column_names]
+    results = [t for t in collect_partials(ds.map_batches(
+        write_block, batch_format="pyarrow", zero_copy_batch=True))
+        if "path" in t.column_names]
     per_file: dict[str, tuple] = {}
     n_skipped = 0
     for t in results:

@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import strip_meta
+from ..rayutil import block_refs, collect_partials, fold_partials, strip_meta
 
 
 def _fold_partial(value_col: str, side_col: str):
@@ -57,12 +57,9 @@ def ks_two_sample(ds, value_col: str, side_col: str) -> dict:
     """
     import ray
 
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-
     folded = ds.map_batches(_fold_partial(value_col, side_col),
                             batch_format="pyarrow", zero_copy_batch=True)
-    refs = folded.sort(value_col).materialize().to_arrow_refs()
+    refs = block_refs(folded.sort(value_col))
 
     @ray.remote
     def blk_summary(t: pa.Table):
@@ -127,8 +124,7 @@ def assign_global_rank(ds, sort_col: str, out: str = "pos",
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
 
-    refs = ds.sort(sort_col, descending=descending).materialize() \
-        .to_arrow_refs()
+    refs = block_refs(ds.sort(sort_col, descending=descending))
 
     @ray.remote
     def blk_summary(t: pa.Table):
@@ -174,7 +170,7 @@ def _sorted_distinct_scan(folded, key: str, val_cols, block_fn):
     """
     import ray
 
-    refs = folded.sort(key).materialize().to_arrow_refs()
+    refs = block_refs(folded.sort(key))
 
     def _fold(t: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(t, key).aggregate([(c, "sum") for c in val_cols])
@@ -301,9 +297,6 @@ def spearman_corr(ds_factory, x: str, y: str,
     import math
 
     import ray
-
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
 
     def base():
         def dropnulls(batch: pa.Table) -> pa.Table:
@@ -496,12 +489,8 @@ def psi_drift(ds, value_col: str, ts_col: str, split_ts_us: int,
             "n_cur": pa.array(n_cur.astype(np.int64), pa.int64()),
         })
 
-    import ray
-
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).materialize().to_arrow_refs())
-        if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True))
     n_ref = np.zeros(bins, np.int64)
     n_cur = np.zeros(bins, np.int64)
     for t in parts:
@@ -574,12 +563,8 @@ def embedding_covariance(ds, list_col: str, dims: int) -> pa.Table:
                             pa.list_(pa.float64())),
         }))
 
-    import ray
-
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).materialize().to_arrow_refs())
-        if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True))
     n_tot = 0
     sx = np.zeros(dims)
     sxx = np.zeros((dims, dims))
@@ -622,10 +607,6 @@ def histogram(ds_factory, col: str, n_bins: int = 20) -> pa.Table:
     (NaN/±inf) drop like nulls — they have no bin and would poison the
     width arithmetic on BOTH the engine and the SQL side (DuckDB's
     ``CAST(floor(NaN) AS BIGINT)`` errors outright)."""
-    import ray
-
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
 
@@ -641,9 +622,8 @@ def histogram(ds_factory, col: str, n_bins: int = 20) -> pa.Table:
             "mn": pa.array([v.min()], pa.float64()),
             "mx": pa.array([v.max()], pa.float64())}))
 
-    mm_parts = [t for t in ray.get(ds_factory().map_batches(
-        minmax, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    mm_parts = collect_partials(ds_factory().map_batches(
+        minmax, batch_format="pyarrow", zero_copy_batch=True))
     empty = pa.table({"bin": pa.array([], pa.int64()),
                       "lo_edge": pa.array([], pa.float64()),
                       "n": pa.array([], pa.int64())})
@@ -667,9 +647,8 @@ def histogram(ds_factory, col: str, n_bins: int = 20) -> pa.Table:
             "bin": pa.array(np.arange(n_bins, dtype=np.int64), pa.int64()),
             "cnt": pa.array(cnt, pa.int64())}))
 
-    clist = [t for t in ray.get(ds_factory().map_batches(
-        counts, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
+    clist = collect_partials(ds_factory().map_batches(
+        counts, batch_format="pyarrow", zero_copy_batch=True))
     if not clist:
         return empty
     cparts = pa.concat_tables(clist, promote_options="default")
@@ -696,8 +675,6 @@ def grouped_minmax_scale(ds_factory, key: str, value: str):
     Rows with a null key or value drop; a zero-range group (min == max)
     yields NULL scaled values (the SQL ``CASE WHEN mx > mn`` contract).
     Streams the input schema plus a ``scaled`` float64 column."""
-    import ray
-
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
 
@@ -713,9 +690,9 @@ def grouped_minmax_scale(ds_factory, key: str, value: str):
     # keep 0-row partials: their schemas carry the key/value types, so an
     # all-null input folds to an EMPTY typed (key, lo, hi) table and the
     # scale pass below streams out 0 rows with the right schema
-    mlist = ray.get(ds_factory().map_batches(
-        minmax, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs())
+    mlist = collect_partials(ds_factory().map_batches(
+        minmax, batch_format="pyarrow", zero_copy_batch=True),
+        keep_empty=True)
     parts = pa.concat_tables(mlist, promote_options="default")
     folded = pa.TableGroupBy(parts, key).aggregate([("mn", "min"),
                                                     ("mx", "max")])
@@ -762,16 +739,12 @@ def grouped_winsorize(ds_factory, key: str, value: str,
     key-domain-sized (key, lo, hi) table broadcasts via closure capture
     into one vectorized clip over the stream. Null keys/values drop.
     Streams the input schema plus a ``clipped`` float64 column."""
-    import math
-
-    import ray
-
-    from ..rayutil import ensure_worker_importable
+    from ..rayutil import default_buckets, ensure_worker_importable
     ensure_worker_importable()
     if not (0.0 <= lo_q <= hi_q <= 1.0):
         raise ValueError("need 0 <= lo_q <= hi_q <= 1")
-    from .aggregates import _add_bucket_fn, _hash_buckets, run_starts
-    n_buckets = _hash_buckets(n_buckets)
+    from .aggregates import _add_bucket_fn, run_starts
+    n_buckets = default_buckets(n_buckets)
     add_bucket = _add_bucket_fn(key, n_buckets)
 
     def project(batch: pa.Table) -> pa.Table:
@@ -798,12 +771,12 @@ def grouped_winsorize(ds_factory, key: str, value: str,
                          "lo": pa.array(v[lo_i], pa.float64()),
                          "hi": pa.array(v[hi_i], pa.float64())})
 
-    thr = pa.concat_tables(ray.get(
+    thr = pa.concat_tables(collect_partials(
         ds_factory().map_batches(project, batch_format="pyarrow",
                                  zero_copy_batch=True)
         .groupby("_bucket")
-        .map_groups(bucket_thresholds, batch_format="pyarrow")
-        .to_arrow_refs()), promote_options="default")
+        .map_groups(bucket_thresholds, batch_format="pyarrow"),
+        keep_empty=True), promote_options="default")
     thr_keys = thr[key].combine_chunks()
     thr_lo = thr["lo"].to_numpy(zero_copy_only=False)
     thr_hi = thr["hi"].to_numpy(zero_copy_only=False)
@@ -859,7 +832,6 @@ def jsd_drift(ds, cat_col: str, ts_col: str, split_ts_us: int) -> dict:
             "n_ref": g["nr_sum"].cast(pa.int64()),
             "n_cur": g["nc_sum"].cast(pa.int64())}))
 
-    from ..rayutil import fold_partials
     folded = fold_partials(
         ds.map_batches(partial, batch_format="pyarrow",
                        zero_copy_batch=True), [cat_col], ["n_ref", "n_cur"])
@@ -899,8 +871,6 @@ def welch_ttest(ds, group_col: str, value_col: str, side_a, side_b) -> dict:
 
     Null values are skipped; a side with n < 2 (or both variances zero)
     yields NaN t/df. Returns a dict with per-side n/mean/var and t/df."""
-    from ..rayutil import collect_partials, ensure_worker_importable
-    ensure_worker_importable()
 
     def partial(batch: pa.Table) -> pa.Table:
         rows = {"side": [], "pn": [], "pm": [], "p2": []}
@@ -987,8 +957,6 @@ def benford_audit(ds, value_col: str) -> pa.Table:
 
     Returns one row per digit: ``(digit, n_obs, expected_r6, chi2_r6)``
     with the global chi² repeated per row (flat gate-friendly layout)."""
-    from ..rayutil import collect_partials, ensure_worker_importable
-    ensure_worker_importable()
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch[value_col].cast(pa.float64()) \
@@ -1045,8 +1013,6 @@ def sequence_audit(ds, id_col: str) -> pa.Table:
     side idiom — cardinality-scale driver state, the HLL estimate is the
     swap-in for row-scale-cardinality ids); one streaming pass, no
     shuffle."""
-    from ..rayutil import collect_partials, ensure_worker_importable
-    ensure_worker_importable()
 
     def partial(batch: pa.Table) -> pa.Table:
         col = batch[id_col]

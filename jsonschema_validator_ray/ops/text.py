@@ -11,7 +11,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import strip_meta
+from ..rayutil import collect_partials, fold_partials, strip_meta
 from ..stages.groupcheck import np_column_hash, run_starts
 
 # minimal public stopword lists (top function words per language)
@@ -323,12 +323,9 @@ def tfidf_top_terms(ds_factory, column: str = "text",
     # pass 1: document frequencies (docs never span batches, so per-batch
     # distinct-(doc,term) counts sum exactly); N from parquet metadata
     n_docs = ds_factory().count()
-    parts = []
-    for t in ray.get(ds_factory().map_batches(
-            df_partial, batch_format="pyarrow", zero_copy_batch=True)
-            .materialize().to_arrow_refs()):
-        if t.num_rows:
-            parts.append(t.select(["term", "df"]))
+    parts = [t.select(["term", "df"]) for t in collect_partials(
+        ds_factory().map_batches(df_partial, batch_format="pyarrow",
+                                 zero_copy_batch=True))]
     vocab_tbl = pa.TableGroupBy(pa.concat_tables(parts), "term") \
         .aggregate([("df", "sum")]).sort_by("term") if parts else \
         pa.table({"term": pa.array([], pa.string()),
@@ -550,8 +547,6 @@ def pattern_census(ds, key: str, column: str,
 
     Returns ``(key, pattern, n_matches, n_rows)`` sorted by
     (pattern, key)."""
-    from ..rayutil import ensure_worker_importable, fold_partials
-    ensure_worker_importable()
     names = sorted(patterns)
     pats = dict(patterns)
 
@@ -610,8 +605,6 @@ def bigram_counts(ds, column: str = "text") -> pa.Table:
     bounded by the bigram vocabulary, not row count. Null texts drop.
 
     Returns ``(a, b, n)`` sorted by (a, b)."""
-    from ..rayutil import ensure_worker_importable, fold_partials
-    ensure_worker_importable()
 
     def partial(batch: pa.Table) -> pa.Table:
         col = batch[column]
@@ -668,8 +661,6 @@ def vocab_coverage(ds, column: str = "text", top_k: int = 1000) -> pa.Table:
 
     Returns one row: ``(n_tokens, n_vocab, top_k, covered, coverage)``
     with ``coverage`` the IEEE double ``covered / n_tokens``."""
-    from ..rayutil import ensure_worker_importable, fold_partials
-    ensure_worker_importable()
 
     def partial(batch: pa.Table) -> pa.Table:
         col = batch[column].drop_null()

@@ -1,4 +1,4 @@
-"""Worker-importability shim.
+"""Driver-side Ray helpers: worker importability and the one collect path.
 
 Ray pickles map_batches callables BY REFERENCE (module + qualname), so worker
 processes must be able to import this package. When the driver initialises Ray
@@ -12,6 +12,11 @@ package imports there, nothing happens (by-reference pickling stays — it is
 task). Only when the probe fails are the package's loaded modules registered
 with cloudpickle's by-value serializer, shipping the code inside task payloads
 instead.
+
+:func:`block_refs` is the one place that turns a Dataset into driver-side
+block refs; :func:`collect_partials` (and :func:`fold_partials` on top of it)
+fetches those blocks. Every operator collects through them, so the
+materialize-first rule and the worker-import probe live here only.
 """
 
 from __future__ import annotations
@@ -138,18 +143,26 @@ def default_buckets(n_buckets: int = 0) -> int:
     return 4 * avail_cpus()
 
 
+def block_refs(ds):
+    """Execute ``ds`` once and return the ObjectRefs of its Arrow blocks —
+    for callers that pass blocks on to remote tasks without pulling them to
+    the driver. Probes worker importability first, then ``materialize()``s:
+    ``to_arrow_refs()`` on a lazy plan asks for the schema, which re-runs
+    the whole plan (every upstream UDF and shuffle) under a limit-1 probe.
+    The single ``to_arrow_refs()`` call of the package."""
+    ensure_worker_importable()
+    return ds.materialize().to_arrow_refs()
+
+
 def collect_partials(ds, keep_empty: bool = False):
-    """Run a partial-emitting ``map_batches`` plan and hand back its
-    non-empty Arrow blocks driver-side. ``materialize()`` first:
-    ``to_arrow_refs()`` on a lazy plan appends a limit-1 schema probe
-    that would re-run the final stage on one block. The single
-    definition of the run-collect idiom every driver-fold aggregate
-    uses (review r5 — four copies landed in one diff before this).
-    ``keep_empty=True`` returns every block — callers that need the
-    partial SCHEMA even when zero rows survived (typed empty results)."""
+    """Execute ``ds`` once (:func:`block_refs`) and fetch its Arrow blocks
+    driver-side: the one collect path of every operator that folds or
+    returns a small result. Empty blocks are dropped; ``keep_empty=True``
+    returns every block — callers that need the partial SCHEMA even when
+    zero rows survived (typed empty results)."""
     import ray
 
-    blocks = ray.get(ds.materialize().to_arrow_refs())
+    blocks = ray.get(block_refs(ds))
     return blocks if keep_empty else [t for t in blocks if t.num_rows]
 
 

@@ -72,7 +72,8 @@ def _write_shards(ds, path: str, ext: str, encode):
     import hashlib
 
     import pyarrow as pa
-    import ray
+
+    from ..rayutil import collect_partials
 
     # bound at op-construction time (driver-side) so the worker closure
     # carries the helper by value — the repo-wide rule for the
@@ -94,14 +95,10 @@ def _write_shards(ds, path: str, ext: str, encode):
         return pa.table({"path": pa.array([name], pa.string()),
                          "n_rows": pa.array([batch.num_rows], pa.int64())})
 
-    # materialize() first: to_arrow_refs on a lazy plan appends a limit-1
-    # schema probe that would re-run write_block on one block (harmless
-    # skip-write thanks to content addressing, but pay it once, not twice)
-    parts = [t for t in ray.get(
-        ds.map_batches(write_block, batch_format="pyarrow",
-                       batch_size=None,          # whole blocks
-                       zero_copy_batch=True).materialize().to_arrow_refs())
-        if t.num_rows]
+    parts = collect_partials(ds.map_batches(
+        write_block, batch_format="pyarrow",
+        batch_size=None,                         # whole blocks
+        zero_copy_batch=True))
     # dedupe by path: identical-content blocks commit one file
     per_file: dict = {}
     for t in parts:
@@ -317,6 +314,26 @@ def read_text(path: str):
                               drop_empty_lines=False)
 
 
+def _fold_row_groups(md, idx: int) -> tuple:
+    """``(min, max, n_nulls, has_stats)`` of leaf column ``idx`` folded
+    across the row groups of one footer ``md``. A row group without
+    min/max statistics makes every field unknown (None, has_stats False).
+    ``null_count`` is optional in the Parquet footer: when a row group
+    omits it, ``n_nulls`` is None — an unknown count, not 0."""
+    mins, maxs, nulls = [], [], 0
+    for rg in range(md.num_row_groups):
+        st = md.row_group(rg).column(idx).statistics
+        if st is None or not st.has_min_max:
+            return None, None, None, False
+        mins.append(st.min)
+        maxs.append(st.max)
+        nulls = None if nulls is None or st.null_count is None \
+            else nulls + int(st.null_count)
+    if not mins:
+        return None, None, nulls, False
+    return min(mins), max(maxs), nulls, True
+
+
 def zone_map(files, column: str):
     """FOOTER-ONLY per-file zone map: ``(file, n_rows, n_nulls, min, max)``
     for ``column``, folded across each file's row groups — the scan-pruning
@@ -356,21 +373,13 @@ def zone_map(files, column: str):
                 raise KeyError(
                     f"zone_map: no leaf column {column!r} in {path} "
                     f"(leaves: {leaf_paths})") from None
-            mins, maxs, nulls, ok = [], [], 0, True
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(idx).statistics
-                if st is None or not st.has_min_max:
-                    ok = False
-                    break
-                mins.append(st.min)
-                maxs.append(st.max)
-                nulls += int(st.null_count or 0)
+            mn, mx, nulls, ok = _fold_row_groups(md, idx)
             out["file"].append(os.path.basename(path))
             out["n_rows"].append(int(md.num_rows))
-            out["n_nulls"].append(nulls if ok else None)
-            out["min"].append(min(mins) if ok and mins else None)
-            out["max"].append(max(maxs) if ok and maxs else None)
-            out["has_stats"].append(ok and bool(mins))
+            out["n_nulls"].append(nulls)
+            out["min"].append(mn)
+            out["max"].append(mx)
+            out["has_stats"].append(ok)
         return pa.table({
             "file": pa.array(out["file"], pa.string()),
             "n_rows": pa.array(out["n_rows"], pa.int64()),

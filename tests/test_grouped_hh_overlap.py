@@ -126,6 +126,29 @@ def test_interval_coverage_islands(ray_session):
     assert got == {1: (2, 40), 2: (1, 100)}
 
 
+def test_interval_coverage_offset_overflow_raises(ray_session):
+    """The segment-offset trick needs groups x end range < 2^63 per
+    bucket; past it the op raises a ValueError naming the limit and
+    n_buckets instead of silently wrapping int64."""
+    import ray.data
+
+    from jsonschema_validator_ray.ops.aggregates import interval_coverage
+
+    def run(n_groups):
+        t = pa.table({"k": pa.array(range(n_groups), pa.int64()),
+                      "s": pa.array([0] * n_groups, pa.int64()),
+                      "e": pa.array([10] + [2 ** 62] * (n_groups - 1),
+                                    pa.int64())})
+        out = interval_coverage(ray.data.from_arrow(t), "k", "s", "e",
+                                n_buckets=1)
+        return {r["k"]: (r["n_islands"], r["covered_us"])
+                for r in out.take_all()}
+
+    assert run(2) == {0: (1, 10), 1: (1, 2 ** 62)}
+    with pytest.raises(ValueError, match=r"2\^63.*n_buckets \(now 1\)"):
+        run(3)
+
+
 def test_cms_upper_bound_and_merge_under_collisions():
     # narrow sketch (width 64) + 500 distinct keys: collisions guaranteed,
     # the CM contract must still hold after a partial merge:

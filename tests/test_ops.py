@@ -7,6 +7,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from jsonschema_validator_ray.rayutil import collect_partials
+
 
 @pytest.fixture(scope="module")
 def docs_ds(ray_session):
@@ -30,12 +32,10 @@ def docs_ds(ray_session):
 
 
 def test_exact_dedup(docs_ds):
-    import ray
-
     from jsonschema_validator_ray.ops.dedup import exact_dedup_keepers
 
-    out = pa.concat_tables(ray.get(
-        exact_dedup_keepers(docs_ds, "doc_id", "text").to_arrow_refs()))
+    out = pa.concat_tables(collect_partials(
+        exact_dedup_keepers(docs_ds, "doc_id", "text"), keep_empty=True))
     dups = out.filter(pa.compute.greater(out["n_copies"], 1))
     assert dups["keeper_id"].to_pylist() == [0]
     assert dups["n_copies"].to_pylist() == [2]
@@ -115,11 +115,12 @@ def test_langid_and_quality(ray_session):
                       "le chat et le chien sont dans la maison pour une nuit",
                   ])})
     ds = ray.data.from_arrow(t)
-    out = pa.concat_tables(ray.get(add_lang_id(ds).to_arrow_refs())) \
-        .sort_by("doc_id")
+    out = pa.concat_tables(collect_partials(
+        add_lang_id(ds), keep_empty=True)).sort_by("doc_id")
     assert out["lang_pred"].to_pylist() == ["en", "de", "fr"]
 
-    q = pa.concat_tables(ray.get(add_quality_score(ds).to_arrow_refs()))
+    q = pa.concat_tables(collect_partials(add_quality_score(ds),
+                                          keep_empty=True))
     assert all(0 <= s <= 1 for s in q["quality_score"].to_pylist())
 
 
@@ -130,23 +131,24 @@ def test_multimodal_stages(ray_session):
         extract_image_features, sample_audio_frames, synthetic_media_table)
 
     ds = ray.data.from_arrow(synthetic_media_table(30))
-    img = pa.concat_tables(ray.get(
-        extract_image_features(ds).to_arrow_refs())).sort_by("media_id")
+    img = pa.concat_tables(collect_partials(
+        extract_image_features(ds), keep_empty=True)).sort_by("media_id")
     assert img.num_rows == 10            # every 3rd row is an image
     assert len(img["rgb_mean"][0].as_py()) == 3
     # deterministic across runs
-    img2 = pa.concat_tables(ray.get(
-        extract_image_features(ds).to_arrow_refs())).sort_by("media_id")
+    img2 = pa.concat_tables(collect_partials(
+        extract_image_features(ds), keep_empty=True)).sort_by("media_id")
     assert img.equals(img2)
 
-    aud = pa.concat_tables(ray.get(
-        sample_audio_frames(ds).to_arrow_refs()))
+    aud = pa.concat_tables(collect_partials(
+        sample_audio_frames(ds), keep_empty=True))
     assert aud.num_rows == 10
     assert all(f > 0 for f in aud["n_frames"].to_pylist())
 
     from jsonschema_validator_ray.ops.multimodal import sample_video_frames
-    vid = pa.concat_tables(ray.get(
-        sample_video_frames(ds, stride=2).to_arrow_refs())).sort_by("media_id")
+    vid = pa.concat_tables(collect_partials(
+        sample_video_frames(ds, stride=2),
+        keep_empty=True)).sort_by("media_id")
     assert vid.num_rows == 10            # every 3rd row is a video
     # generator formula: n_frames = 4 + (i // 3) % 3 at i = 2, 5, 8, ...
     assert vid["n_frames"].to_pylist() == \
@@ -169,9 +171,9 @@ def test_image_resize_stage(ray_session):
         synthetic_media_table)
 
     media = synthetic_media_table(30)
-    out = pa.concat_tables(ray.get(
-        resize_images(ray.data.from_arrow(media), target_w=40, target_h=24)
-        .to_arrow_refs())).sort_by("media_id")
+    out = pa.concat_tables(collect_partials(
+        resize_images(ray.data.from_arrow(media), target_w=40, target_h=24),
+        keep_empty=True)).sort_by("media_id")
     assert out.num_rows == 30            # pass-through: nothing dropped
 
     stage = ImageResizeStage(target_w=40, target_h=24)
@@ -210,7 +212,8 @@ def test_fingerprint_shift_stability(ray_session):
     t = pa.table({"doc_id": pa.array([0, 1], pa.int64()),
                   "text": pa.array([base, "xy " + base])})
     ds = ray.data.from_arrow(t)
-    out = pa.concat_tables(ray.get(add_fingerprint(ds).to_arrow_refs()))
+    out = pa.concat_tables(collect_partials(add_fingerprint(ds),
+                                            keep_empty=True))
     fp = out.sort_by("doc_id")["fingerprint"].to_pylist()
     assert fp[0] == fp[1]   # winnowed min-hash stable under a small prefix shift
 
@@ -270,19 +273,19 @@ def test_hash_sample_deterministic_and_unbiased(ray_session):
     t = pa.table({"id": pa.array(range(20000), pa.int64()),
                   "v": pa.array(range(20000), pa.int64())})
     ds = ray.data.from_arrow(t)
-    a = pa.concat_tables(ray.get(
-        hash_sample(ds, "id", 0.2, seed=3).to_arrow_refs())).sort_by("id")
-    b = pa.concat_tables(ray.get(
-        hash_sample(ds, "id", 0.2, seed=3).to_arrow_refs())).sort_by("id")
+    a = pa.concat_tables(collect_partials(
+        hash_sample(ds, "id", 0.2, seed=3), keep_empty=True)).sort_by("id")
+    b = pa.concat_tables(collect_partials(
+        hash_sample(ds, "id", 0.2, seed=3), keep_empty=True)).sort_by("id")
     assert a.equals(b)                       # deterministic
     frac = a.num_rows / 20000
     assert 0.17 < frac < 0.23                # ~binomial(20000, 0.2) 5-sigma
-    c = pa.concat_tables(ray.get(
-        hash_sample(ds, "id", 0.2, seed=4).to_arrow_refs()))
+    c = pa.concat_tables(collect_partials(
+        hash_sample(ds, "id", 0.2, seed=4), keep_empty=True))
     assert not a.equals(c.sort_by("id"))     # seed-sensitive
 
-    r = pa.concat_tables(ray.get(
-        random_sample(ds, 0.3, seed=1).to_arrow_refs()))
+    r = pa.concat_tables(collect_partials(
+        random_sample(ds, 0.3, seed=1), keep_empty=True))
     assert 0.26 < r.num_rows / 20000 < 0.34
 
 
@@ -360,10 +363,10 @@ def test_asof_join_matches_naive(ray_session):
                      "t": pa.array(lts, pa.int64())})
     right = pa.table({"rk": pa.array(rk, pa.int64()),
                       "rt": pa.array(rts, pa.int64())})
-    got = pa.concat_tables([t for t in ray.get(
+    got = pa.concat_tables(collect_partials(
         asof_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
                   on="k", right_on="rk", left_ts="t",
-                  right_ts="rt").to_arrow_refs()) if t.num_rows])
+                  right_ts="rt")))
     got = {lid: ts for lid, ts in zip(got["lid"].to_pylist(),
                                       got["asof_ts"].to_pylist())}
     for lid, (k, t) in enumerate(zip(lk, lts)):
@@ -397,11 +400,11 @@ def test_range_agg_join_matches_naive(ray_session):
     points = pa.table({"pk": pa.array(pk, pa.int64()),
                        "pt": pa.array(pts, pa.int64()),
                        "pv": pa.array(pv, pa.int64())})
-    got = pa.concat_tables([t for t in ray.get(
+    got = pa.concat_tables(collect_partials(
         range_agg_join(ray.data.from_arrow(ranges),
                        ray.data.from_arrow(points), on="k", point_on="pk",
                        start="a", end="b", point_ts="pt",
-                       value="pv").to_arrow_refs()) if t.num_rows])
+                       value="pv")))
     assert got.num_rows == n_r
     got = got.sort_by("rid")
     for rid, k, a, b in zip(range(n_r), rk, t0, t1):
@@ -420,10 +423,9 @@ def test_grouped_quantiles_matches_numpy(ray_session):
     k = rng.integers(0, 7, 2000)
     v = rng.normal(0, 10, 2000)
     t = pa.table({"g": pa.array(k, pa.int64()), "x": pa.array(v)})
-    got = pa.concat_tables([b for b in ray.get(
+    got = pa.concat_tables(collect_partials(
         grouped_quantiles(ray.data.from_arrow(t), "g", "x",
-                          [0.1, 0.5, 0.99]).to_arrow_refs())
-        if b.num_rows]).sort_by("g")
+                          [0.1, 0.5, 0.99]))).sort_by("g")
     assert got["g"].to_pylist() == sorted(set(k.tolist()))
     for i, g in enumerate(got["g"].to_pylist()):
         vals = v[k == g]
@@ -445,10 +447,10 @@ def test_grouped_top_k_matches_naive(ray_session):
     t = pa.table({"g": pa.array(k, pa.int64()),
                   "x": pa.array(v, pa.int64()),
                   "id": pa.array(tb, pa.int64())})
-    got = pa.concat_tables([b for b in ray.get(
+    got = pa.concat_tables(collect_partials(
         grouped_top_k(ray.data.from_arrow(t), "g", "x", 3,
-                      descending=True, tiebreak="id").to_arrow_refs())
-        if b.num_rows]).sort_by([("g", "ascending"), ("rk", "ascending")])
+                      descending=True, tiebreak="id"))) \
+        .sort_by([("g", "ascending"), ("rk", "ascending")])
     expect = []
     for g in sorted(set(k.tolist())):
         rows = sorted([(int(-v[i]), int(tb[i])) for i in range(500)
@@ -470,11 +472,11 @@ def test_reduce_side_hash_join_matches_pyarrow(ray_session):
                      "lv": pa.array(range(300), pa.int64())})
     right = pa.table({"k": pa.array(rng.integers(0, 50, 200), pa.int64()),
                       "rv": pa.array(range(200), pa.int64())})
-    got = pa.concat_tables([t for t in ray.get(
+    got = pa.concat_tables([t for t in collect_partials(
         reduce_side_hash_join(ray.data.from_arrow(left),
                               ray.data.from_arrow(right),
-                              "k").to_arrow_refs())
-        if t.num_rows and "k" in t.column_names])
+                              "k"))
+        if "k" in t.column_names])
     expect = left.join(right, keys="k", join_type="inner")
     key = lambda t: sorted(zip(t["k"].to_pylist(), t["lv"].to_pylist(),
                                t["rv"].to_pylist()))
@@ -845,8 +847,8 @@ def test_wordgram_batch_matches_single_doc(ray_session):
         "doc_id": pa.array(range(len(texts)), pa.int64()),
         "text": pa.array(texts, pa.string())}))
     out = pa.concat_tables(
-        __import__("ray").get(ngram_gram_blobs(ds, "doc_id", "text", 3)
-                              .to_arrow_refs()))
+        collect_partials(ngram_gram_blobs(ds, "doc_id", "text", 3),
+                         keep_empty=True))
     got = {}
     pool, lens = _blob_pool(out["grams"])
     off = np.concatenate([[0], np.cumsum(lens)])
@@ -911,9 +913,9 @@ def test_stratified_sample_deterministic(ray_session):
     import ray.data
     runs = []
     for _ in range(2):
-        out = pa.concat_tables(ray.get(
+        out = pa.concat_tables(collect_partials(
             stratified_sample(ray.data.from_arrow(tbl), "g", "id", k=10,
-                              seed=3).to_arrow_refs()))
+                              seed=3), keep_empty=True))
         runs.append(out.sort_by([("g", "ascending"), ("id", "ascending")]))
     assert runs[0].equals(runs[1])
     counts = dict(zip(*np.unique(np.asarray(runs[0]["g"]), return_counts=True)))
@@ -943,9 +945,9 @@ def test_ngram_contamination_planted(ray_session):
     ds = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(list(texts), pa.int64()),
         "text": pa.array(list(texts.values()))}))
-    out = pa.concat_tables(ray.get(
-        ngram_contamination(ds, "doc_id", "text", bench, n=3, threshold=3)
-        .to_arrow_refs())).sort_by("doc_id")
+    out = pa.concat_tables(collect_partials(
+        ngram_contamination(ds, "doc_id", "text", bench, n=3, threshold=3),
+        keep_empty=True)).sort_by("doc_id")
     got = {d: (o, c) for d, o, c in zip(out["doc_id"].to_pylist(),
                                         out["n_overlap"].to_pylist(),
                                         out["contaminated"].to_pylist())}
@@ -1019,10 +1021,10 @@ def test_left_outer_reduce_side_join(ray_session):
     right = pa.table({"k": pa.array([2, 4, 4], pa.int64()),
                       "rv": pa.array([200, 400, 401], pa.int64())})
     out = pa.concat_tables(
-        ray.get(reduce_side_hash_join(
+        collect_partials(reduce_side_hash_join(
             ray.data.from_arrow(left), ray.data.from_arrow(right), "k",
-            join_type="left outer", n_buckets=3)
-            .materialize().to_arrow_refs())).sort_by(
+            join_type="left outer", n_buckets=3),
+            keep_empty=True)).sort_by(
         [("k", "ascending"), ("rv", "ascending")])
     assert out["k"].to_pylist() == [1, 2, 3, 4, 4]
     assert out["rv"].to_pylist() == [None, 200, None, 400, 401]
@@ -1037,8 +1039,8 @@ def test_word_repetition_edges(ray_session):
 
     t = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
                   "text": pa.array(["a b c", "x x x x", "a  a"])})
-    out = pa.concat_tables(ray.get(add_word_repetition(
-        ray.data.from_arrow(t)).materialize().to_arrow_refs())) \
+    out = pa.concat_tables(collect_partials(add_word_repetition(
+        ray.data.from_arrow(t)), keep_empty=True)) \
         .sort_by("doc_id")
     assert out["n_words"].to_pylist() == [3, 4, 3]
     # 'a  a' splits to ['a', '', 'a'] → 2 distinct
@@ -1055,9 +1057,9 @@ def test_tfidf_top_terms_hand_computed(ray_session):
 
     t = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
                   "text": pa.array(["cat cat dog", "dog mouse", "cat dog"])})
-    out = pa.concat_tables(ray.get(tfidf_top_terms(
-        lambda: ray.data.from_arrow(t), k=2).materialize()
-        .to_arrow_refs())).sort_by(
+    out = pa.concat_tables(collect_partials(tfidf_top_terms(
+        lambda: ray.data.from_arrow(t), k=2),
+        keep_empty=True)).sort_by(
         [("doc_id", "ascending"), ("rank", "ascending")])
     rows = list(zip(out["doc_id"].to_pylist(), out["term"].to_pylist(),
                     out["tf"].to_pylist(), out["df"].to_pylist(),
@@ -1117,7 +1119,7 @@ def test_inverted_index_and_search(ray_session):
     ds = ray.data.from_arrow(t1).union(ray.data.from_arrow(t2))
     idx = build_inverted_index(ds, n_buckets=5).materialize()
     rows = {}
-    for t in ray.get(idx.to_arrow_refs()):
+    for t in collect_partials(idx, keep_empty=True):
         if t.num_rows and "term" in t.column_names:
             for term, df, blob in zip(t["term"].to_pylist(),
                                       t["df"].to_pylist(),
@@ -1150,8 +1152,7 @@ def test_label_centroids_exact(ray_session):
     t2 = tbl([0], [[-0.1, 0.7]])
     ds = ray.data.from_arrow(t1).union(ray.data.from_arrow(t2))
     parts = pa.concat_tables(
-        [t for t in ray.get(label_centroids(ds).materialize()
-                            .to_arrow_refs()) if t.num_rows])
+        collect_partials(label_centroids(ds)))
     g = pa.TableGroupBy(parts, ["label", "dim"]).aggregate(
         [("sum_e24", "sum"), ("n", "sum")]).sort_by(
         [("label", "ascending"), ("dim", "ascending")])
@@ -1315,9 +1316,8 @@ def test_quantile_threshold_filter_matches_numpy(ray_session):
                   "rid": pa.array(range(2000), pa.int64())})
     mk = lambda: ray.data.from_arrow(t).repartition(5)  # noqa: E731
     out = pa.concat_tables(
-        [x for x in ray.get(quantile_threshold_filter(
-            mk, "k", "v", q=0.9).materialize().to_arrow_refs())
-         if x.num_rows], promote_options="default").sort_by("rid")
+        collect_partials(quantile_threshold_filter(
+            mk, "k", "v", q=0.9)), promote_options="default").sort_by("rid")
     expect = []
     for g in range(3):
         m = key == g
@@ -1345,10 +1345,9 @@ def test_funnel_steps_matches_bruteforce(ray_session):
                   "ts": pa.array(ts),
                   "event_type": pa.array(types)})
     out = pa.concat_tables(
-        [x for x in ray.get(funnel_steps(
+        collect_partials(funnel_steps(
             ray.data.from_arrow(t).repartition(7), "user_id", "ts",
-            "event_type", ["view", "click", "purchase"]).materialize()
-            .to_arrow_refs()) if x.num_rows],
+            "event_type", ["view", "click", "purchase"])),
         promote_options="default").sort_by("user_id")
 
     expect = {}
@@ -1395,8 +1394,7 @@ def test_grouped_distinct_exact_and_hll(ray_session):
         truth[kk].add(vv)
 
     exact = pa.concat_tables(
-        [x for x in ray.get(grouped_exact_distinct(ds, "k", "v")
-                            .materialize().to_arrow_refs()) if x.num_rows],
+        collect_partials(grouped_exact_distinct(ds, "k", "v")),
         promote_options="default").sort_by("k")
     assert dict(zip(exact["k"].to_pylist(),
                     exact["n_distinct"].to_pylist())) == \
@@ -1437,11 +1435,10 @@ def test_bloom_filter_and_semi_join(ray_session):
     rset = set(right["uid"].to_pylist())
     for negate in (False, True):
         out = pa.concat_tables(
-            [x for x in ray.get(bloom_semi_join(
+            collect_partials(bloom_semi_join(
                 ray.data.from_arrow(left).repartition(4),
                 ray.data.from_arrow(right).repartition(3),
-                "uid", "uid", m_bits=1 << 12, negate=negate)
-                .materialize().to_arrow_refs()) if x.num_rows],
+                "uid", "uid", m_bits=1 << 12, negate=negate)),
             promote_options="default").sort_by("rid")
         expect = [r for u, r in zip(left["uid"].to_pylist(),
                                     left["rid"].to_pylist())
@@ -1494,10 +1491,10 @@ def test_grouped_rolling_window_matches_bruteforce(ray_session):
                   "rid": pa.array(range(n), pa.int64()),
                   "v": pa.array(rng.integers(-50, 50, n), pa.int64())})
     out = pa.concat_tables(
-        [x for x in ray.get(grouped_rolling_window(
+        collect_partials(grouped_rolling_window(
             ray.data.from_arrow(t).repartition(6), "k", "ts", "v",
-            window_rows=4, tiebreak="rid").materialize().to_arrow_refs())
-         if x.num_rows], promote_options="default").sort_by("rid")
+            window_rows=4, tiebreak="rid")),
+        promote_options="default").sort_by("rid")
 
     rows = sorted(zip(t["k"].to_pylist(), t["ts"].to_pylist(),
                       t["rid"].to_pylist(), t["v"].to_pylist()))
@@ -1572,8 +1569,7 @@ def test_new_ops_null_edges(ray_session):
     assert None not in hh["item"].to_pylist()
 
     gd = pa.concat_tables(
-        [x for x in ray.get(grouped_exact_distinct(kds, "k", "v")
-                            .materialize().to_arrow_refs()) if x.num_rows],
+        collect_partials(grouped_exact_distinct(kds, "k", "v")),
         promote_options="default").sort_by("k")
     assert dict(zip(gd["k"].to_pylist(), gd["n_distinct"].to_pylist())) == \
         {"a": 2}                     # (b, NULL) pair dropped, null key gone
@@ -1606,9 +1602,8 @@ def test_review_regressions_nulls_and_small_k(ray_session):
     t = pa.table({"k": pa.array(["a", "a", "a", "a", None, None, None]),
                   "v": pa.array([1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 100.0])})
     out = pa.concat_tables(
-        [x for x in ray.get(quantile_threshold_filter(
-            lambda: ray.data.from_arrow(t), "k", "v", q=0.5)
-            .materialize().to_arrow_refs()) if x.num_rows],
+        collect_partials(quantile_threshold_filter(
+            lambda: ray.data.from_arrow(t), "k", "v", q=0.5)),
         promote_options="default")
     assert out["k"].null_count == 0
     assert out["v"].to_pylist() == [3.0, 4.0]
@@ -1651,10 +1646,10 @@ def test_table_diff(ray_session):
         "a": pa.array([10, 21, None, 50, 70], pa.int64()),
         "b": pa.array(["x", "yy", "ww", "vv", "q"], pa.string()),
     })
-    out = pa.concat_tables(ray.get(table_diff(
+    out = pa.concat_tables(collect_partials(table_diff(
         ray.data.from_arrow(left).repartition(3),
-        ray.data.from_arrow(right).repartition(2), "k")
-        .materialize().to_arrow_refs())).sort_by("k")
+        ray.data.from_arrow(right).repartition(2), "k"),
+        keep_empty=True)).sort_by("k")
     got = {k: (s, n) for k, s, n in zip(out["k"].to_pylist(),
                                         out["status"].to_pylist(),
                                         out["n_changed_cols"].to_pylist())}
@@ -1666,7 +1661,7 @@ def test_table_diff(ray_session):
     same = table_diff(ray.data.from_arrow(left),
                       ray.data.from_arrow(left), "k")
     assert sum(t.num_rows for t in
-               ray.get(same.materialize().to_arrow_refs())) == 0
+               collect_partials(same, keep_empty=True)) == 0
 
 
 def test_bpeish_token_count(ray_session):
@@ -1682,9 +1677,9 @@ def test_bpeish_token_count(ray_session):
     texts = ["Hello, world!", "it's 3.14; ok?", "", None, "a  b\tc\nd", "..."]
     t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                   "text": pa.array(texts, pa.string())})
-    out = pa.concat_tables(ray.get(
-        add_bpeish_token_count(ray.data.from_arrow(t))
-        .materialize().to_arrow_refs())).sort_by("doc_id")
+    out = pa.concat_tables(collect_partials(
+        add_bpeish_token_count(ray.data.from_arrow(t)),
+        keep_empty=True)).sort_by("doc_id")
     pat = re.compile(r"\w+|[^\w\s]", re.ASCII)
     want = [len(pat.findall(x)) if x else 0 for x in texts]
     assert out["n_bpe_tokens"].to_pylist() == want
@@ -1702,8 +1697,8 @@ def test_image_resize_passthrough_composable(ray_session):
 
     ds = ray.data.from_arrow(synthetic_media_table(30))
     resized = resize_images(ds, target_w=32, target_h=32)
-    aud = pa.concat_tables(ray.get(
-        sample_audio_frames(resized).to_arrow_refs()))
+    aud = pa.concat_tables(collect_partials(
+        sample_audio_frames(resized), keep_empty=True))
     assert aud.num_rows == 10           # audio stage still works downstream
     assert all(f > 0 for f in aud["n_frames"].to_pylist())
 
@@ -1751,10 +1746,9 @@ def test_mixture_sample(ray_session):
     factory = lambda: ray.data.from_arrow(t).repartition(4)
     # total=40: a→floor(40*.5)=20 (≤50), b→floor(40*.25)=10 (≤30),
     # c→floor(40*.75)=30 but only 20 available → capped at 20; no 'd'
-    out = pa.concat_tables([t for t in ray.get(mixture_sample(
+    out = pa.concat_tables(collect_partials(mixture_sample(
         factory, "src", "doc_id",
-        {"a": 0.5, "b": 0.25, "c": 0.75, "d": 0.9}, total=40, seed=11)
-        .materialize().to_arrow_refs()) if t.num_rows])
+        {"a": 0.5, "b": 0.25, "c": 0.75, "d": 0.9}, total=40, seed=11)))
     got = dict(
         pa.TableGroupBy(out.select(["src"]), "src")
         .aggregate([([], "count_all")]).to_pandas()
@@ -1762,12 +1756,11 @@ def test_mixture_sample(ray_session):
     assert got == {"a": 20, "b": 10, "c": 20}
 
     # parity with stratified_sample at the same per-group k
-    strat = pa.concat_tables([t for t in ray.get(stratified_sample(
-        factory(), "src", "doc_id", k=10, seed=11)
-        .materialize().to_arrow_refs()) if t.num_rows])
-    mix10 = pa.concat_tables([t for t in ray.get(mixture_sample(
+    strat = pa.concat_tables(collect_partials(stratified_sample(
+        factory(), "src", "doc_id", k=10, seed=11)))
+    mix10 = pa.concat_tables(collect_partials(mixture_sample(
         factory, "src", "doc_id", {"a": 0.25, "b": 0.25, "c": 0.25},
-        total=40, seed=11).materialize().to_arrow_refs()) if t.num_rows])
+        total=40, seed=11)))
     assert strat.sort_by([("src", "ascending"), ("doc_id", "ascending")]) \
         .equals(mix10.sort_by([("src", "ascending"),
                                ("doc_id", "ascending")]))
@@ -1787,9 +1780,9 @@ def test_hash_split(ray_session):
     splits = [("train", 0.8), ("val", 0.1), ("test", 0.1)]
     ids = list(range(500)) + [None]
     t = pa.table({"doc_id": pa.array(ids, pa.int64())})
-    out = pa.concat_tables(ray.get(
+    out = pa.concat_tables(collect_partials(
         hash_split(ray.data.from_arrow(t).repartition(3), "doc_id",
-                   splits, seed=7).to_arrow_refs())) \
+                   splits, seed=7), keep_empty=True)) \
         .sort_by([("doc_id", "ascending")])
 
     bounds = split_thresholds(splits)
@@ -1811,9 +1804,9 @@ def test_hash_split(ray_session):
     # same key, different dataset -> same split (no train/test leakage)
     t2 = pa.table({"doc_id": pa.array([3, 141, 499], pa.int64()),
                    "other": pa.array(["x", "y", "z"])})
-    out2 = pa.concat_tables(ray.get(
-        hash_split(ray.data.from_arrow(t2), "doc_id", splits, seed=7)
-        .to_arrow_refs())).sort_by([("doc_id", "ascending")])
+    out2 = pa.concat_tables(collect_partials(
+        hash_split(ray.data.from_arrow(t2), "doc_id", splits, seed=7),
+        keep_empty=True)).sort_by([("doc_id", "ascending")])
     lookup = dict(zip(got["doc_id"].to_pylist(), got["split"].to_pylist()))
     for k, s in zip(out2["doc_id"].to_pylist(), out2["split"].to_pylist()):
         assert s == lookup[k]
@@ -1857,10 +1850,10 @@ def test_adjacent_pairs(ray_session):
         "role": pa.array([r[2] for r in rows], pa.string()),
         "text": pa.array([r[3] for r in rows], pa.string()),
     })
-    out = pa.concat_tables(ray.get(
+    out = pa.concat_tables(collect_partials(
         adjacent_pairs(ray.data.from_arrow(t).repartition(4), "conv_id",
-                       "turn_idx", "role", "user", "assistant", "text")
-        .to_arrow_refs()), promote_options="default") \
+                       "turn_idx", "role", "user", "assistant", "text"),
+        keep_empty=True), promote_options="default") \
         .sort_by([("turn_idx_from", "ascending"), ("text_from", "ascending")])
     got = [tuple(r) for r in zip(out["conv_id"].to_pylist(),
                                  out["turn_idx_from"].to_pylist(),
@@ -1897,10 +1890,10 @@ def test_truncate_context(ray_session):
         "role": pa.array([r[2] for r in rows]),
         "text": pa.array([r[3] for r in rows]),
     })
-    out = pa.concat_tables(ray.get(
+    out = pa.concat_tables(collect_partials(
         truncate_context(ray.data.from_arrow(t).repartition(3), "conv_id",
-                         "turn_idx", "text", budget=8, tag_col="role")
-        .to_arrow_refs()), promote_options="default") \
+                         "turn_idx", "text", budget=8, tag_col="role"),
+        keep_empty=True), promote_options="default") \
         .sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
     got = list(zip(out["conv_id"].to_pylist(), out["turn_idx"].to_pylist(),
                    out["cum_tokens"].to_pylist()))
@@ -1934,10 +1927,10 @@ def test_alternation_stats(ray_session):
         "role": pa.array([r[2] for r in rows]),
         "text": pa.array([r[3] for r in rows]),
     })
-    out = pa.concat_tables(ray.get(
+    out = pa.concat_tables(collect_partials(
         alternation_stats(ray.data.from_arrow(t).repartition(4), "conv_id",
-                          "turn_idx", "role", text_col="text")
-        .to_arrow_refs()), promote_options="default")
+                          "turn_idx", "role", text_col="text"),
+        keep_empty=True), promote_options="default")
     got = {r[0]: (r[1], r[2], r[3]) for r in zip(
         out["conv_id"].to_pylist(), out["n_turns"].to_pylist(),
         out["n_repeats"].to_pylist(), out["alternating"].to_pylist())}
@@ -1966,10 +1959,10 @@ def test_render_conversations(ray_session):
         "role": pa.array([r[2] for r in rows]),
         "text": pa.array([r[3] for r in rows]),
     })
-    out = pa.concat_tables(ray.get(
+    out = pa.concat_tables(collect_partials(
         render_conversations(ray.data.from_arrow(t).repartition(3),
-                             "conv_id", "turn_idx", "role", "text")
-        .to_arrow_refs()), promote_options="default") \
+                             "conv_id", "turn_idx", "role", "text"),
+        keep_empty=True), promote_options="default") \
         .sort_by([("conv_id", "ascending")])
     got = list(zip(out["conv_id"].to_pylist(), out["n_lines"].to_pylist(),
                    out["n_chars"].to_pylist(), out["rendered"].to_pylist()))
@@ -2014,19 +2007,19 @@ def test_dedup_against_snapshot(ray_session):
         "text": pa.array(["old one", "fresh", "old two", None,
                           "fresh", "old one"]),
     })
-    out = pa.concat_tables(ray.get(dedup_against_snapshot(
+    out = pa.concat_tables(collect_partials(dedup_against_snapshot(
         ray.data.from_arrow(new).repartition(3),
         ray.data.from_arrow(snap).repartition(2),
-        "doc_id", "text").to_arrow_refs()), promote_options="default") \
+        "doc_id", "text"), keep_empty=True), promote_options="default") \
         .sort_by([("doc_id", "ascending")])
     # 10/12/15 match snapshot content; 13 has null text (never matches);
     # both 'fresh' copies survive
     assert out["doc_id"].to_pylist() == [11, 13, 14]
 
     empty_snap = snap.filter(pa.array([False, False, False]))
-    out2 = pa.concat_tables(ray.get(dedup_against_snapshot(
+    out2 = pa.concat_tables(collect_partials(dedup_against_snapshot(
         ray.data.from_arrow(new), ray.data.from_arrow(empty_snap),
-        "doc_id", "text").to_arrow_refs()), promote_options="default")
+        "doc_id", "text"), keep_empty=True), promote_options="default")
     assert out2.num_rows == 6
 
 
@@ -2133,10 +2126,10 @@ def test_dedup_against_snapshot_shuffle_route(ray_session):
     })
 
     def run(**kw):
-        return pa.concat_tables(ray.get(dedup_against_snapshot(
+        return pa.concat_tables(collect_partials(dedup_against_snapshot(
             ray.data.from_arrow(new).repartition(4),
             ray.data.from_arrow(snap).repartition(3),
-            "doc_id", "text", **kw).to_arrow_refs()),
+            "doc_id", "text", **kw), keep_empty=True),
             promote_options="default") \
             .sort_by([("doc_id", "ascending")])
 
@@ -2233,10 +2226,10 @@ def test_hash_split_string_keys(ray_session):
     t = pa.table({"k": pa.array([f"doc-{i}" for i in range(200)] + [None])})
     runs = []
     for _ in range(2):
-        out = pa.concat_tables(ray.get(
+        out = pa.concat_tables(collect_partials(
             hash_split(ray.data.from_arrow(t).repartition(3), "k",
                        [("train", 0.8), ("val", 0.1), ("test", 0.1)],
-                       seed=3).to_arrow_refs())) \
+                       seed=3), keep_empty=True)) \
             .sort_by([("k", "ascending")])
         runs.append(out)
     assert runs[0].equals(runs[1])
@@ -2269,10 +2262,10 @@ def test_adjacent_pairs_int_group_with_nulls(ray_session):
         "role": pa.array([r[2] for r in rows], pa.string()),
         "text": pa.array([r[3] for r in rows], pa.string()),
     })
-    out = pa.concat_tables(ray.get(
+    out = pa.concat_tables(collect_partials(
         adjacent_pairs(ray.data.from_arrow(t).repartition(3), "g", "i",
-                       "role", "user", "assistant", "text")
-        .to_arrow_refs()), promote_options="default")
+                       "role", "user", "assistant", "text"),
+        keep_empty=True), promote_options="default")
     got = {(g, f): to for g, f, to in zip(out["g"].to_pylist(),
                                           out["text_from"].to_pylist(),
                                           out["text_to"].to_pylist())}
@@ -2493,10 +2486,9 @@ def test_grouped_top_k_string_and_null_keys(ray_session):
         "x": pa.array([5, 9, 7, 2, 1, 8, 6], pa.int64()),
         "id": pa.array(range(7), pa.int64()),
     })
-    got = pa.concat_tables([b for b in ray.get(
+    got = pa.concat_tables(collect_partials(
         grouped_top_k(ray.data.from_arrow(t), "g", "x", 2,
-                      descending=True, tiebreak="id").to_arrow_refs())
-        if b.num_rows]).to_pylist()
+                      descending=True, tiebreak="id"))).to_pylist()
     by_group = {}
     for r in got:
         by_group.setdefault(r["g"], []).append((r["rk"], r["x"]))

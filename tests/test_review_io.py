@@ -274,3 +274,40 @@ def test_text_write_rejects_embedded_newline(ray_session, tmp_path):
         t = pa.table({"text": pa.array([bad], pa.string())})
         with pytest.raises(Exception, match="line-break"):
             write_text(ray.data.from_arrow(t), str(tmp_path / "t3"), "text")
+
+
+def test_zone_map_unknown_null_count_is_none(ray_session, tmp_path):
+    """null_count is optional in a Parquet footer: a row group without it
+    makes the file's n_nulls unknown (None), not 0. Footers that carry it
+    still sum across row groups."""
+    from types import SimpleNamespace
+
+    import pyarrow.parquet as pq
+
+    from jsonschema_validator_ray.sources.files import (_fold_row_groups,
+                                                        zone_map)
+
+    def footer(*stats):
+        return SimpleNamespace(
+            num_row_groups=len(stats),
+            row_group=lambda rg: SimpleNamespace(
+                column=lambda idx: SimpleNamespace(statistics=stats[rg])))
+
+    def st(mn, mx, nulls):
+        return SimpleNamespace(has_min_max=True, min=mn, max=mx,
+                               null_count=nulls)
+
+    assert _fold_row_groups(footer(st(3, 9, 1), st(1, 4, 2)), 0) \
+        == (1, 9, 3, True)
+    assert _fold_row_groups(footer(st(3, 9, 1), st(1, 4, None)), 0) \
+        == (1, 9, None, True)
+    assert _fold_row_groups(footer(st(3, 9, 1), None), 0) \
+        == (None, None, None, False)
+
+    path = str(tmp_path / "z.parquet")
+    pq.write_table(pa.table({"v": pa.array([5, None, 2, None, 8],
+                                           pa.int64())}),
+                   path, row_group_size=2)
+    row = zone_map([path], "v").take_all()[0]
+    assert (row["n_rows"], row["n_nulls"], row["min"], row["max"],
+            row["has_stats"]) == (5, 2, 2, 8, True)

@@ -4,6 +4,9 @@ int64 exactness, string session users."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
+
+from jsonschema_validator_ray.rayutil import collect_partials
 
 
 def test_brute_force_topk_tie_breaks_by_id(ray_session):
@@ -77,8 +80,8 @@ def test_grouped_quantiles_ignore_nulls(ray_session):
         "g": pa.array([1, 1, 1, 1], pa.int64()),
         "v": pa.array([1.0, 2.0, 5.0, None], pa.float64()),
     })
-    out = pa.concat_tables(ray.get(grouped_quantiles(
-        ray.data.from_arrow(t), "g", "v", [0.5]).to_arrow_refs()))
+    out = pa.concat_tables(collect_partials(grouped_quantiles(
+        ray.data.from_arrow(t), "g", "v", [0.5]), keep_empty=True))
     assert out["n"].to_pylist() == [4]           # count(*) includes the null
     assert out["q50"].to_pylist() == [2.0]       # median of non-nulls
 
@@ -125,23 +128,73 @@ def test_sessionize_string_user_ids(ray_session):
     assert got == {"u_1": 2, "u_2": 1}
 
 
-def test_sessionize_counts_runs_one_execution(ray_session, tmp_path):
-    """sessionize_counts ends in a groupby shuffle. A lazy to_arrow_refs()
-    collect re-ran that shuffle for its schema probe; collecting through
-    rayutil.collect_partials runs the plan once. A UDF ahead of the shuffle
-    marks each call with a file, so its call count must equal that of one
-    plain materialize() of the same input."""
+def _sessionize_counts(ds):
+    from jsonschema_validator_ray.ops.aggregates import sessionize_counts
+
+    out = sessionize_counts(ds, "user_id", "ts", "ts")
+    assert dict(zip(out["user_id"].to_pylist(),
+                    out["n_sessions"].to_pylist())) \
+        == {u: 2 if u < 10 else 1 for u in [0, 1, 2, 3, 10, 11, 12, 13]}
+
+
+def _cooccurrence_pairs(ds):
+    from jsonschema_validator_ray.ops.aggregates import cooccurrence_pairs
+
+    out = cooccurrence_pairs(ds, "user_id", "ev")
+    assert out.to_pylist() == [{"a": "a", "b": "b", "n_keys": 4}]
+
+
+def _value_counts(ds):
+    from jsonschema_validator_ray.ops.aggregates import value_counts
+
+    out = value_counts(ds, "ev")
+    assert out.to_pylist() == [{"ev": "a", "n": 8}, {"ev": "b", "n": 4}]
+
+
+def _top_k(ds):
+    from jsonschema_validator_ray.ops.aggregates import top_k
+
+    assert top_k(ds, "user_id", 2)["user_id"].to_pylist() == [13, 12]
+
+
+def _cohort_retention(ds):
+    from jsonschema_validator_ray.ops.aggregates import cohort_retention
+
+    out = cohort_retention(ds, "user_id", "ts")
+    assert out["age_days"].to_pylist() == [0]
+    assert out["n_users"].to_pylist() == [8]
+
+
+def _brute_force_topk(ds):
+    from jsonschema_validator_ray.ops.simsearch import brute_force_topk
+
+    out = brute_force_topk(ds, np.array([1.0, 0.0]), "user_id", "vec", k=1)
+    assert out["user_id"].to_pylist() == [13]
+
+
+@pytest.mark.parametrize(
+    "op", [_sessionize_counts, _cooccurrence_pairs, _value_counts, _top_k,
+           _cohort_retention, _brute_force_topk],
+    ids=lambda op: op.__name__.lstrip("_"))
+def test_collecting_op_runs_one_execution(ray_session, tmp_path, op):
+    """An op that collects its result driver-side executes its plan once.
+    A lazy to_arrow_refs() collect re-ran the plan (every upstream UDF and
+    shuffle) for its schema probe; collecting through rayutil's
+    collect_partials runs it once. A UDF ahead of the op marks each call
+    with a file, so its call count must equal that of one plain
+    materialize() of the same input."""
     import uuid
 
     import ray.data
-
-    from jsonschema_validator_ray.ops.aggregates import sessionize_counts
 
     base = np.datetime64("2024-01-01T00:00:00", "us")
     blocks = [pa.table({
         "user_id": pa.array([b, b, 10 + b], pa.int64()),
         "ts": pa.array([base, base + np.timedelta64(2, "h"), base],
                        pa.timestamp("us")),
+        "ev": pa.array(["a", "b", "a"], pa.string()),
+        "vec": pa.array([[float(u), 1.0] for u in (b, b, 10 + b)],
+                        pa.list_(pa.float64())),
     }) for b in range(4)]
 
     def counted(name):
@@ -158,10 +211,60 @@ def test_sessionize_counts_runs_one_execution(ray_session, tmp_path):
 
     once, ds = counted("materialize")
     ds.materialize()
-    seen, ds = counted("sessionize")
-    out = sessionize_counts(ds, "user_id", "ts", "ts")
-    assert dict(zip(out["user_id"].to_pylist(),
-                    out["n_sessions"].to_pylist())) \
-        == {u: 2 if u < 10 else 1 for u in [0, 1, 2, 3, 10, 11, 12, 13]}
+    seen, ds = counted("op")
+    op(ds)
     assert len(list(once.iterdir())) >= 1
     assert len(list(seen.iterdir())) == len(list(once.iterdir()))
+
+
+def test_to_arrow_refs_only_in_rayutil():
+    """rayutil.block_refs is the package's one to_arrow_refs() call: every
+    driver-side collect goes through it (and so materializes first)."""
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent \
+        / "jsonschema_validator_ray"
+    hits = sorted(str(p.relative_to(pkg)) for p in pkg.rglob("*.py")
+                  if "to_arrow_refs(" in p.read_text())
+    assert hits == ["rayutil.py"]
+
+
+def test_transcript_ops_ignore_wide_unused_column(ray_session):
+    """sessionize_counts, adjacent_pairs and render_conversations project
+    the columns they read before their shuffle: an extra wide column they
+    never read leaves their output unchanged."""
+    import ray.data
+
+    from jsonschema_validator_ray.ops.aggregates import (
+        adjacent_pairs, render_conversations, sessionize_counts)
+
+    base = np.datetime64("2024-01-01T00:00:00", "us")
+    n = 60
+    t = pa.table({
+        "conv_id": pa.array([i // 6 for i in range(n)], pa.int64()),
+        "turn_idx": pa.array([i % 6 for i in range(n)], pa.int64()),
+        "ts": pa.array([base + np.timedelta64(40 * (i % 6), "m")
+                        for i in range(n)], pa.timestamp("us")),
+        "role": pa.array(["user" if i % 2 == 0 else "assistant"
+                          for i in range(n)], pa.string()),
+        "text": pa.array([f"t{i}" for i in range(n)], pa.string()),
+    })
+    wide = t.append_column("blob", pa.array(["x" * 20_000] * n))
+
+    def run(tbl):
+        ds = ray.data.from_arrow(tbl).repartition(3)
+        sess = sessionize_counts(ds, "conv_id", "ts", "turn_idx")
+        pairs = pa.concat_tables(collect_partials(adjacent_pairs(
+            ds, "conv_id", "turn_idx", "role", "user", "assistant",
+            "text"))).sort_by([("conv_id", "ascending"),
+                               ("turn_idx_from", "ascending")])
+        rendered = pa.concat_tables(collect_partials(render_conversations(
+            ds, "conv_id", "turn_idx", "role", "text"))).sort_by("conv_id")
+        return sess, pairs, rendered
+
+    got, want = run(wide), run(t)
+    for g, w in zip(got, want):
+        assert "blob" not in g.column_names
+        assert g.equals(w)
+    assert got[0]["n_sessions"].to_pylist() == [6] * 10
+    assert got[1].num_rows == 30 and got[2].num_rows == 10

@@ -5,6 +5,8 @@ distinct key types, int64-exact range sums."""
 import numpy as np
 import pyarrow as pa
 
+from jsonschema_validator_ray.rayutil import collect_partials
+
 
 def test_hot_levels_sorted_in_uint64_space():
     """_hot_levels must return an ASCENDING uint64 hash array even when the
@@ -140,10 +142,10 @@ def test_asof_join_drops_null_keys_and_ts(ray_session):
         "rk": pa.array([1, 1, None, 2], pa.int64()),
         "rt": pa.array([50, None, 60, 999], pa.int64()),
     })
-    got = pa.concat_tables([t for t in ray.get(
+    got = pa.concat_tables(collect_partials(
         asof_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
                   on="k", right_on="rk", left_ts="t",
-                  right_ts="rt").to_arrow_refs()) if t.num_rows])
+                  right_ts="rt")))
     out = dict(zip(got["lid"].to_pylist(), got["asof_ts"].to_pylist()))
     # lid 0: k=1 matches right (1, 50); null-ts right row (1, None) ignored
     # lid 1 (null key), lid 2 (null ts): dropped
@@ -170,12 +172,11 @@ def test_range_agg_join_drops_null_keys_and_bounds(ray_session):
         "pt": pa.array([10, None, 20, 99], pa.int64()),
         "v": pa.array([5, 7, 11, 13], pa.int64()),
     })
-    got = pa.concat_tables([t for t in ray.get(
+    got = pa.concat_tables(collect_partials(
         range_agg_join(ray.data.from_arrow(ranges),
                        ray.data.from_arrow(points),
                        on="k", point_on="pk", start="s", end="e",
-                       point_ts="pt", value="v").to_arrow_refs())
-        if t.num_rows])
+                       point_ts="pt", value="v")))
     rows = {r["rid"]: (r["n_points"], r["sum_value"])
             for r in got.to_pylist()}
     assert rows == {0: (2, 18)}     # points (1,10,5) and (1,99,13) only
