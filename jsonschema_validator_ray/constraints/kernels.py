@@ -449,11 +449,11 @@ def ts_key_int64(col) -> pa.Array:
 def group_check_table(group: pa.Table, gc: GroupCheck) -> pa.Table:
     """Exact in-memory check of ONE conversation's rows: sorted-run duplicate
     scan + ts-monotonicity in turn order. Returns violation rows
-    (VIOLATION_SCHEMA). Used by the partitioned runner to re-check the few
-    conversations whose turn ranges overlap across partitions.
+    (VIOLATION_SCHEMA). The per-conversation reference the vectorized
+    sorted-run checks are tested against.
 
-    Semantics (FIXTURES.md §B): per conversation ordered by ``order_by``
-    (stable), ``ts`` must never DECREASE — a violation is ``ts < prev_ts``
+    Semantics (FIXTURES.md §B): per conversation ordered by ``(order_by,
+    ts)``, ``ts`` must never DECREASE — a violation is ``ts < prev_ts``
     at a different turn; equal consecutive ts pass (matches the oracle's
     ``WHERE ts < lag(ts)``; a swapped turn_idx pair surfaces as a ts
     regression); ``(group_key, order_by)`` must be unique. Null or
@@ -476,7 +476,9 @@ def group_check_table(group: pa.Table, gc: GroupCheck) -> pa.Table:
     keep = ~null_mask
     tid = tid_all[keep]
     ts = ts_all[keep]
-    order = np.argsort(tid, kind="stable")
+    # ts breaks turn_idx ties (null ts last): a duplicated turn compares
+    # its latest ts with the next turn, whatever the physical row order
+    order = np.lexsort((ts, tid))
     tid = tid[order]
     ts = ts[order]
 

@@ -407,8 +407,9 @@ def minhash_lsh_candidate_pairs(ds, id_column: str, text_column: str,
     (id_a, id_b) rows (``dedup=False`` skips the cross-band dedup groupby
     and may return the same pair from several bands). No driver-side
     materialization anywhere."""
-    from ..rayutil import avail_cpus, default_buckets
+    from ..rayutil import avail_cpus, default_buckets, ensure_worker_importable
 
+    ensure_worker_importable()      # the pairs.materialize() below runs first
     n_buckets = default_buckets(n_buckets)
     sigs = minhash_signatures(_spread_blocks(ds, 2 * avail_cpus()),
                               id_column, text_column, n_perms, k,

@@ -403,12 +403,15 @@ def global_quantiles(ds, col: str, qs=(0.25, 0.5, 0.75, 0.99)) -> dict:
     """
     import ray
 
+    from ..rayutil import ensure_worker_importable
+
     qs = tuple(float(q) for q in qs)
     if not qs:
         raise ValueError("global_quantiles: qs must be non-empty")
     bad = [q for q in qs if not 0.0 <= q <= 1.0]
     if bad:
         raise ValueError(f"global_quantiles: quantiles out of [0, 1]: {bad}")
+    ensure_worker_importable()      # the materialize() below runs first
     folded = ds.map_batches(_count_fold(col), batch_format="pyarrow",
                             zero_copy_batch=True).materialize()
     n = int(folded.sum("cnt") or 0)

@@ -4,26 +4,39 @@ Lifecycle (SURVEY.md §3.5; the analog of the reference's three entry points):
 
   1. DRIVER compile: spec → ConstraintIR (hash-stamped).
   2. ``read_parquet`` → ONE fused ``map_batches`` pass producing violation
-     rows + per-batch partial sketches (stages/rowstage.py) — the only stage
-     that touches full-width data, and it reads the input once.
-  3. Wide stage over a 3-column projection: a range sort on (conv_id,
-     turn_idx) and one vectorized sorted-run pass per block for uniqueness
-     + monotonicity (stages/groupcheck.py). The range partitioner splits hot
-     conversations across blocks; the boundary merge restores exactness.
-  4. Driver: merge partial sketches → drift verdicts; merge run boundaries →
-     cross-split violations; verdict = no violations ∧ all drift checks pass.
+     rows, per-batch partial sketches and each batch's own group check —
+     its (conv_id, turn_idx, ts) rows sorted locally and checked for
+     uniqueness + monotonicity, with one run record per conversation
+     (stages/rowstage.py, stages/groupcheck.py). It is the only stage that
+     touches full-width data, and it reads the input once.
+  3. Driver: resolve the group check from the run records. Conversations
+     whose runs follow one another merge exactly at their seams; the few
+     whose runs overlap (duplicate rows in another file, a split at a
+     duplicated turn) are re-checked exactly from their own rows, read
+     with predicate pushdown, and their batch-local group rows are dropped.
+     The plan falls back to the global sort wide stage — a range sort of a
+     3-column re-read on (conv_id, turn_idx, ts), one sorted-run pass per
+     block and the boundary merge — when the source is a ``Dataset`` (no
+     files to re-read), when the run records exceed ``MAX_RUNS_PER_ROW`` of
+     the rows (input not clustered by conversation) or when more than
+     ``MAX_RECHECK_CONVS`` conversations overlap. ``metrics`` records the
+     plan taken (``wide_stage``), why it fell back and how many
+     conversations were re-checked.
+  4. Driver: merge partial sketches → drift verdicts; verdict = no
+     violations ∧ all drift checks pass.
 
 ``run_partitioned`` wraps this per input-file-group with lineage manifests
-(input files, IR hash, metrics, serialized sketch + boundary state) so a
-killed run resumes by skipping completed partitions; cross-partition
-uniqueness/monotonicity is restored at finalize via the boundary merge plus a
-targeted re-check of the (rare) conversations whose turn ranges overlap
-between partitions.
+(input files, IR hash, metrics, serialized sketch + run records) so a
+killed run resumes by skipping completed partitions; ``finalize`` resolves
+the run records of all partitions together, exactly as step 3 does within
+one call: boundary merge for conversations whose runs follow one another,
+targeted re-check for those whose runs overlap.
 """
 
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import os
 import time
@@ -35,13 +48,25 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..constraints.ir import ConstraintIR, compile_constraints
-from ..constraints.kernels import VIOLATION_SCHEMA, group_check_table
+from ..constraints.kernels import VIOLATION_SCHEMA
 from ..rayutil import collect_partials, strip_meta
-from ..stages.groupcheck import SortedRunChecker, merge_run_boundaries
-from ..stages.rowstage import RowValidateAndSketch, split_combined
+from ..stages.groupcheck import (RUN_BOUNDARY_SCHEMA, SortedRunChecker,
+                                 local_group_check, merge_run_boundaries,
+                                 resolve_runs, split_overlapping_runs)
+from ..stages.rowstage import (COMBINED_SCHEMA, RowValidateAndSketch,
+                               split_combined, split_group_check)
 from ..state.sketches import SketchState
 
 Source = Union[str, Sequence[str], "ray.data.Dataset"]  # noqa: F821
+
+# The one-pass group check falls back to the global sort when the row
+# stage's run records say it does not pay. Clustered input yields about one
+# record per conversation per batch; beyond a quarter of the rows the
+# records are no longer small next to the data (the driver holds them all).
+MAX_RUNS_PER_ROW = 0.25
+# The driver re-reads the rows of every conversation whose runs overlap; past
+# this many, a distributed sort beats one process reading them.
+MAX_RECHECK_CONVS = 10_000
 
 
 @dataclass
@@ -52,6 +77,21 @@ class ValidationResult:
     metrics: dict = field(default_factory=dict)
     passed: bool = True
     boundaries: Optional[pa.Table] = None   # unmerged run boundaries (partitioned mode)
+
+
+def _source_paths(source: Source) -> Optional[list]:
+    """The Parquet files of a path source (a directory lists its
+    ``*.parquet`` files, minus the generator's golden file), or None for a
+    ``Dataset``."""
+    if hasattr(source, "map_batches"):
+        return None
+    if isinstance(source, str) and os.path.isdir(source):
+        return sorted(
+            os.path.join(source, f) for f in os.listdir(source)
+            if f.endswith(".parquet") and not f.startswith("golden"))
+    if isinstance(source, str):
+        return [source]
+    return list(source)
 
 
 def _dataset_from(source: Source, columns: Optional[list] = None,
@@ -69,16 +109,9 @@ def _dataset_from(source: Source, columns: Optional[list] = None,
     import ray
     import ray.data
 
-    if hasattr(source, "map_batches"):          # already a Dataset
+    paths = _source_paths(source)
+    if paths is None:                           # already a Dataset
         return source.select_columns(columns) if columns else source
-    if isinstance(source, str) and os.path.isdir(source):
-        paths = sorted(
-            os.path.join(source, f) for f in os.listdir(source)
-            if f.endswith(".parquet") and not f.startswith("golden"))
-    elif isinstance(source, str):
-        paths = [source]
-    else:
-        paths = list(source)
     total_bytes = 4 * sum(os.path.getsize(p) for p in paths)
     cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
     nblocks = max(blocks_per_cpu_floor * cpus,
@@ -110,12 +143,13 @@ def _collect(ds) -> Optional[pa.Table]:
 
 
 def _wide_stage(source: Source, gc,
-                merge_boundaries_now: bool) -> Optional[pa.Table]:
-    """Uniqueness + monotonicity over a pruned 3-column re-read: a global
-    range sort on (group_key, order_by), then one vectorized
+                merge_boundaries_now: bool) -> tuple[pa.Table, pa.Table]:
+    """The fallback group check over a pruned 3-column re-read: a global
+    range sort on (group_key, order_by, ts), then one vectorized
     ``SortedRunChecker`` pass per sorted block. The range partitioner splits
     hot conversations at block granularity; the driver-side boundary merge
-    restores exact semantics across the splits."""
+    restores exact semantics across the splits. Returns (violations, run
+    records)."""
     # ts is only projected when mono is checked: a unique-only spec must
     # not require (or cast) a ts column at all (review r4)
     cols = [gc.group_key, gc.order_by] + \
@@ -133,16 +167,64 @@ def _wide_stage(source: Source, gc,
             pc.and_(pc.is_valid(batch[gc.group_key]),
                     pc.is_valid(batch[gc.order_by])))
 
+    # ts breaks turn_idx ties, so duplicated turns order the same way in
+    # every block and the boundary merge is exact at a duplicate seam
     sds = gds.map_batches(_drop_null_keys, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .sort([gc.group_key, gc.order_by])
+                          zero_copy_batch=True).sort(cols)
     # edges-only boundaries suffice within one sorted stream; the
     # partitioned runner needs every run's record for cross-partition
     # overlap detection (independently sorted partitions)
     checker = SortedRunChecker(
         gc, boundary_mode="edges" if merge_boundaries_now else "all")
-    return _collect(sds.map_batches(checker, batch_format="pyarrow",
-                                    zero_copy_batch=True))
+    out = _collect(sds.map_batches(checker, batch_format="pyarrow",
+                                   zero_copy_batch=True))
+    if out is None or "kind" not in out.column_names:
+        # all blocks emitted empty tables: Ray loses the schema of an
+        # all-empty map output — semantically there is no wide-stage output
+        return VIOLATION_SCHEMA.empty_table(), RUN_BOUNDARY_SCHEMA.empty_table()
+
+    def rows(kind: str, schema: pa.Schema) -> pa.Table:
+        t = out.filter(pc.equal(out["kind"], kind))
+        return pa.table([t[n] for n in schema.names], schema=schema)
+
+    viol, runs = rows("violation", VIOLATION_SCHEMA), \
+        rows("boundary", RUN_BOUNDARY_SCHEMA)
+    if merge_boundaries_now:
+        viol = pa.concat_tables([viol, merge_run_boundaries(runs, gc)])
+    return viol, runs
+
+
+def _group_check(source: Source, paths: Optional[list], combined: pa.Table,
+                 gc, merge_boundaries_now: bool):
+    """Resolve the row stage's one-pass group check, or fall back to the
+    sort wide stage (see the module docstring). Returns (group violations,
+    run records, plan metrics). With ``merge_boundaries_now=False``
+    (partitioned mode) the batch-local rows and the raw run records are
+    returned as they are: ``finalize`` resolves them across partitions."""
+    fallback = None
+    if paths is None:
+        fallback = "dataset source: no files to re-read"
+    else:
+        group, runs, n_rows = split_group_check(combined)
+        mergeable, overlap = split_overlapping_runs(runs)
+        if runs.num_rows > MAX_RUNS_PER_ROW * n_rows:
+            fallback = (f"input not clustered: {runs.num_rows} run records "
+                        f"for {n_rows} rows")
+        elif len(overlap) > MAX_RECHECK_CONVS:
+            fallback = (f"{len(overlap)} conversations with overlapping runs"
+                        f" (re-check cap {MAX_RECHECK_CONVS})")
+    if fallback is not None:
+        viol, runs = _wide_stage(source, gc, merge_boundaries_now)
+        return viol, runs, {"wide_stage": "sort",
+                            "wide_stage_fallback": fallback,
+                            "rechecked_convs": 0}
+    rechecked = 0
+    if merge_boundaries_now:
+        group = resolve_runs(group, mergeable, overlap, gc,
+                             lambda convs: _recheck_convs(paths, convs, gc))
+        rechecked = len(overlap)
+    return group, runs, {"wide_stage": "local", "wide_stage_fallback": None,
+                         "rechecked_convs": rechecked}
 
 
 def validate(source: Source, spec: Optional[dict] = None,
@@ -154,45 +236,45 @@ def validate(source: Source, spec: Optional[dict] = None,
 
     The row stage runs as plain tasks, not an actor pool: its setup (the
     constraint IR) is cheap, and tasks reuse warm workers with no pool
-    ramp-up. The row and wide stages run one after the other: overlapping
-    them on a CPU-saturated node was measured zero-sum."""
+    ramp-up. For a file source it is the only Ray Data execution unless the
+    group check falls back to the sort wide stage."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
 
     if ir is None:
         ir = compile_constraints(spec)
     gc = ir.group_check
+    paths = _source_paths(source)
+    # a Dataset cannot be re-read for the exact re-check, so its group
+    # check runs in the sort wide stage, not in the row stage
+    stage_ir = ir if paths is not None \
+        else dataclasses.replace(ir, group_check=None)
 
     # row stage: many small blocks (pipeline-friendly; see _dataset_from)
     ds = _dataset_from(source, target_block_bytes=32 * 1024 * 1024,
                        blocks_per_cpu_floor=8)
     t0 = time.perf_counter()
-    stage = RowValidateAndSketch(ir, mode=mode, sketch=sketch)
+    stage = RowValidateAndSketch(stage_ir, mode=mode, sketch=sketch)
     combined_t = _collect(ds.map_batches(
         stage, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=batch_size))
     t_row = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    out_t = _wide_stage(source, gc, merge_boundaries_now) \
-        if gc is not None else None
-    t_wide = time.perf_counter() - t1
+    if combined_t is None or "kind" not in combined_t.column_names:
+        # zero input rows: Ray loses the schema of an all-empty map output
+        combined_t = COMBINED_SCHEMA.empty_table()
 
     t_merge_start = time.perf_counter()
     violations, state, counters = split_combined(combined_t)
     viol_parts = [violations]
     boundaries = None
-    if out_t is not None and "kind" not in out_t.column_names:
-        # all blocks emitted empty tables: Ray loses the schema of an
-        # all-empty map output — semantically there is no wide-stage output
-        out_t = None
-    if out_t is not None:
-        gv = out_t.filter(pc.equal(out_t["kind"], "violation"))
-        viol_parts.append(pa.table(
-            {n: gv[n] for n in VIOLATION_SCHEMA.names}, schema=VIOLATION_SCHEMA))
-        boundaries = out_t.filter(pc.equal(out_t["kind"], "boundary")) \
-            .drop_columns(["kind", "turn_idx", "constraint_id", "message"])
-        if merge_boundaries_now:
-            viol_parts.append(merge_run_boundaries(boundaries, gc))
+    plan = {"wide_stage": None, "wide_stage_fallback": None,
+            "rechecked_convs": 0}
+    t1 = time.perf_counter()
+    if gc is not None:
+        group, boundaries, plan = _group_check(
+            source, paths, combined_t, gc, merge_boundaries_now)
+        viol_parts.append(group)
+    t_wide = time.perf_counter() - t1
     all_viol = pa.concat_tables(viol_parts)
 
     drift = state.evaluate_drift(ir.drift_checks) if sketch else []
@@ -216,8 +298,12 @@ def validate(source: Source, spec: Optional[dict] = None,
                                      for k, v in by_constraint.items()},
         "wall_s": round(time.perf_counter() - t0, 3),
         "wall_row_stage_s": round(t_row, 3),
+        # the sort stage on the fallback path; the driver-side seam merge
+        # and re-check on the one-pass path
         "wall_wide_stage_s": round(t_wide, 3),
-        "wall_driver_merge_s": round(time.perf_counter() - t_merge_start, 3),
+        "wall_driver_merge_s": round(
+            time.perf_counter() - t_merge_start - t_wide, 3),
+        **plan,
         "ir_hash": ir.ir_hash,
         "mode": mode,
     }
@@ -318,9 +404,10 @@ def _table_from_b64(data: Optional[str]) -> Optional[pa.Table]:
 
 
 def finalize(out_dir: str, n_partitions: int, ir: ConstraintIR) -> dict:
-    """Merge partition manifests: sketches → drift verdicts; run boundaries →
-    cross-partition uniqueness/monotonicity; targeted exact re-check for
-    conversations whose turn ranges overlap across partitions."""
+    """Merge partition manifests: sketches → drift verdicts; run records →
+    cross-partition uniqueness/monotonicity, by the boundary merge for
+    conversations whose runs follow one another and a targeted exact
+    re-check for those whose runs overlap (``split_overlapping_runs``)."""
     gc = ir.group_check
     state = SketchState()
     all_bounds = []
@@ -342,30 +429,13 @@ def finalize(out_dir: str, n_partitions: int, ir: ConstraintIR) -> dict:
     cross_viol = VIOLATION_SCHEMA.empty_table()
     overlap_convs: list = []
     if gc is not None and all_bounds:
-        bounds = pa.concat_tables(all_bounds)
-        # detect convs whose runs OVERLAP in turn ranges across partitions —
-        # boundary records alone can't resolve those; re-check them exactly
-        srt = bounds.sort_by([("conv_id", "ascending"), ("first_tid", "ascending")])
-        conv = srt["conv_id"].to_pylist()
-        ft = srt["first_tid"].to_pylist()
-        lt = srt["last_tid"].to_pylist()
-        overlap = set()
-        run_max = None
-        for i in range(len(conv)):
-            if i and conv[i] == conv[i - 1]:
-                if ft[i] < run_max:   # strictly inside a prior run's range
-                    overlap.add(conv[i])
-                run_max = max(run_max, lt[i])
-            else:
-                run_max = lt[i]
-        overlap_convs = sorted(overlap)
-        if overlap:
-            keep = pa.array([c not in overlap for c in conv])
-            cross_viol = merge_run_boundaries(srt.filter(keep), gc)
-            recheck = _recheck_convs(manifests, overlap_convs, gc)
-            cross_viol = pa.concat_tables([cross_viol, recheck])
-        else:
-            cross_viol = merge_run_boundaries(bounds, gc)
+        mergeable, overlap = split_overlapping_runs(
+            pa.concat_tables(all_bounds))
+        overlap_convs = overlap.to_pylist()
+        files = [f for m in manifests for f in m["input_files"]]
+        cross_viol = pa.concat_tables([
+            merge_run_boundaries(mergeable, gc),
+            _recheck_convs(files, overlap_convs, gc)])
 
     part_viol = _cleaned_partition_violations(out_dir, n_partitions,
                                               overlap_convs)
@@ -398,29 +468,20 @@ def finalize(out_dir: str, n_partitions: int, ir: ConstraintIR) -> dict:
     return summary
 
 
-def _recheck_convs(manifests: list, convs: list, gc) -> pa.Table:
+def _recheck_convs(files: Sequence[str], convs: list, gc) -> pa.Table:
     """Exact in-memory group check for a small set of conversations, reading
-    only their rows (predicate pushdown) from the partitions that contain
-    them. Returns the DEFINITIVE group-check violations for those convs."""
-    files = []
-    for m in manifests:
-        files.extend(m["input_files"])
-    tables = []
-    cols = [gc.group_key, gc.order_by, gc.ts_column]
-    for f in sorted(set(files)):
-        t = pq.read_table(f, columns=cols,
-                          filters=[(gc.group_key, "in", list(convs))])
-        if t.num_rows:
-            tables.append(t)
-    if not tables:
+    only their rows (predicate pushdown) from ``files``. Returns the
+    DEFINITIVE group-check violations for those convs."""
+    if not convs:
         return VIOLATION_SCHEMA.empty_table()
-    whole = pa.concat_tables(tables)
-    parts = []
-    for c in convs:
-        g = whole.filter(pc.equal(whole[gc.group_key], c))
-        if g.num_rows:
-            parts.append(group_check_table(g, gc))
-    return pa.concat_tables(parts) if parts else VIOLATION_SCHEMA.empty_table()
+    cols = [gc.group_key, gc.order_by] + \
+        ([gc.ts_column] if gc.check_mono else [])
+    tables = [strip_meta(pq.read_table(f, columns=cols,
+                                       filters=[(gc.group_key, "in", convs)]))
+              for f in sorted(set(files))]
+    # all of each conversation's rows are here: the local check is exact
+    whole = pa.concat_tables(tables, promote_options="default")
+    return local_group_check(whole, gc)[0]
 
 
 def _cleaned_partition_violations(out_dir: str, n_partitions: int,

@@ -1,28 +1,40 @@
-"""Wide-stage checks: (conv_id, turn_idx) uniqueness + ts monotonicity.
+"""Group checks: (conv_id, turn_idx) uniqueness + ts monotonicity.
 
-Sorted-run merge (skew-proof): ``ds.sort(["conv_id", "turn_idx"])``
-range-partitions the (projected, 3-column) stream; each sorted block is
-checked with ONE fully-vectorized pass over all its conversation runs (no
-per-group Python), emitting one tiny boundary record per run; the driver
-merges boundaries to catch duplicates/regressions that straddle block splits.
-Hot conversations are split by the range partitioner at block granularity —
-bounded block size regardless of key skew — and the boundary merge restores
-exact global semantics.
+Both paths of ``validate()`` end in the same vectorized sorted-run pass
+(``SortedRunChecker``), which checks every conversation run of a block and
+emits one small run record per run:
 
-Check semantics (FIXTURES.md §B):
+- one pass (the default for file sources): each row-stage batch sorts its
+  own group-check rows (``local_group_check``) and checks them there. The
+  driver splits the run records with ``split_overlapping_runs``: runs of a
+  conversation that follow one another merge exactly
+  (``merge_run_boundaries``); conversations whose runs overlap are
+  re-checked exactly from their own rows.
+- global sort (the fallback): ``ds.sort([conv_id, turn_idx, ts])``
+  range-partitions a projected 3-column stream and each sorted block is
+  checked. The range partitioner splits hot conversations at block
+  granularity (bounded block size regardless of key skew) and the boundary
+  merge restores exact global semantics.
+
+Check semantics (FIXTURES.md §B), per conversation ordered by
+``(turn_idx, ts)``:
 - rows with null (or uncastable — see kernels.order_key_int64) turn_idx are
   excluded (they already fired type/required),
 - unique: adjacent equal turn_idx per conv (over all remaining rows),
 - mono: over rows with VALID ts, in turn order, ts must never DECREASE —
   a violation is ``ts < prev_ts`` at a different turn; equal consecutive ts
   pass (matches the oracle's ``WHERE ts < lag(ts)``); violations attribute
-  to the regressing row's turn_idx.
+  to the regressing row's turn_idx. ``ts`` breaks turn_idx ties, so a
+  duplicated turn compares its latest ts with the next turn whatever the
+  physical row order.
 
 Also home to the shared hash/run primitives of the ops' hash-bucket
 groupbys (``np_column_hash``, ``run_starts``).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -46,173 +58,269 @@ RUN_BOUNDARY_SCHEMA = pa.schema([
     ("last_vtid", pa.int64()),     # tid of the last valid-ts row
 ])
 
+# run records as the checker returns them: plus the run's row count
+_RUNS_COUNTED = RUN_BOUNDARY_SCHEMA.append(pa.field("n_rows", pa.int64()))
+
 CHECK_OUT_SCHEMA = pa.schema([
     ("kind", pa.string()),         # "violation" | "boundary"
     ("conv_id", pa.string()),
     ("turn_idx", pa.int32()),
     ("constraint_id", pa.string()),
     ("message", pa.string()),
-    ("first_tid", pa.int64()),
-    ("last_tid", pa.int64()),
-    ("first_vts", pa.float64()),
-    ("last_vts", pa.float64()),
-    ("first_vtid", pa.int64()),
-    ("last_vtid", pa.int64()),
+    *[f for f in RUN_BOUNDARY_SCHEMA if f.name != "conv_id"],
 ])
 
 
+def _as_array(col) -> pa.Array:
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
+
+def _adjacent_equal(arr: pa.Array) -> np.ndarray:
+    """``arr[i] == arr[i - 1]`` for i >= 1 as one vectorized C compare —
+    string keys never become Python objects."""
+    n = len(arr)
+    if n < 2:
+        return np.zeros(0, bool)
+    return _np(pc.equal(arr.slice(1), arr.slice(0, n - 1)))
+
+
+def _turn_idx(tids: np.ndarray) -> pa.Array:
+    """Violation turn_idx column: a checked cast, never a silent wrap."""
+    return pa.array(tids, pa.int64()).cast(pa.int32())
+
+
+def _group_rows(batch: pa.Table, gc: GroupCheck):
+    """(conv, tid, ts) of the rows that take part in group checks. Rows with
+    a null group key or a null/uncastable order key are dropped: they
+    already fired required/type kernels, and a null key would poison the
+    adjacent-equality masks (pc.equal yields null, not False). ``ts`` is
+    float64 ticks with NaN where no valid ts takes part in mono (all NaN for
+    a unique-only spec, which does not project ts)."""
+    batch = batch.select([c for c in (gc.group_key, gc.order_by, gc.ts_column)
+                          if c in batch.column_names])   # before any filter
+    conv = _as_array(batch[gc.group_key])
+    tid_arr = order_key_int64(batch[gc.order_by])
+    keep = pc.and_(pc.is_valid(tid_arr), pc.is_valid(conv))
+    if not pc.all(keep).as_py():
+        batch = batch.filter(keep)
+        tid_arr = tid_arr.filter(keep)
+        conv = _as_array(batch[gc.group_key])
+    if gc.check_mono and gc.ts_column in batch.column_names:
+        ts = _np(ts_key_int64(batch[gc.ts_column])).astype(np.float64)
+    else:
+        ts = np.full(batch.num_rows, np.nan)
+    return conv, _np(tid_arr).astype(np.int64, copy=False), ts
+
+
+def _local_order(conv: pa.Array, tid: np.ndarray,
+                 ts: np.ndarray) -> Optional[np.ndarray]:
+    """Row order that makes every conversation of a batch one run sorted by
+    (turn_idx, ts), or None when the batch already is in that order (the
+    common case for clustered input, where no sort runs). Conversations
+    group by dictionary code — a hash, not a string sort: codes number the
+    conversations in order of first appearance, so they never decrease
+    exactly when each conversation is one contiguous run. Null ts sort last
+    within their turn, as in Ray's sort."""
+    codes = _np(pc.dictionary_encode(conv).indices)
+    tsk = np.where(ts == ts, ts, np.inf)
+    ordered = (codes[1:] > codes[:-1]) | ((codes[1:] == codes[:-1]) & (
+        (tid[1:] > tid[:-1]) | ((tid[1:] == tid[:-1]) & (tsk[1:] >= tsk[:-1]))))
+    if ordered.all():
+        return None
+    return np.lexsort((tsk, tid, codes))
+
+
 class SortedRunChecker:
-    """map_batches stage over blocks of the (conv_id, turn_idx, ts)-projected
-    stream AFTER ds.sort([group_key, order_by]). One vectorized pass per block."""
+    """Vectorized check of blocks whose conversations are runs sorted by
+    (group_key, order_by, ts) — the blocks of ``ds.sort`` in the fallback
+    wide stage, or a row-stage batch after ``local_group_check``'s sort."""
 
     def __init__(self, gc: GroupCheck, boundary_mode: str = "edges"):
         """boundary_mode: "edges" emits boundary records only for the FIRST and
         LAST run of each block — after a global sort, a conversation's rows are
         contiguous, so only those two runs can straddle a block split. This
         keeps driver-side merge volume at 2 records per block instead of one
-        per conversation. "all" emits every run's record — required in
-        partitioned mode, where independently-sorted partitions can overlap on
-        ANY conversation (duplicates across input files)."""
-        assert boundary_mode in ("edges", "all")
+        per conversation. "all" emits every run's record — required when
+        blocks are sorted independently (row-stage batches, partitions), so
+        ANY conversation can have runs in several blocks."""
+        if boundary_mode not in ("edges", "all"):
+            raise ValueError(f"boundary_mode must be 'edges' or 'all', "
+                             f"not {boundary_mode!r}")
         self.gc = gc
         self.boundary_mode = boundary_mode
         self.cid_unique = f"unique:({gc.group_key},{gc.order_by})"
         self.cid_mono = f"mono:{gc.order_by}"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """CHECK_OUT_SCHEMA rows: violations, then run boundary records."""
+        viol, runs = self.check_rows(*_group_rows(batch, self.gc))
+        k, r = viol.num_rows, runs.num_rows
+
+        def stacked(f: pa.Field) -> pa.Array:
+            if f.name == "kind":
+                return pa.concat_arrays([pa.repeat("violation", k),
+                                         pa.repeat("boundary", r)])
+            top = _as_array(viol[f.name]) if f.name in viol.column_names \
+                else pa.nulls(k, f.type)
+            bottom = _as_array(runs[f.name]) if f.name in runs.column_names \
+                else pa.nulls(r, f.type)
+            return pa.concat_arrays([top, bottom])
+
+        return pa.table([stacked(f) for f in CHECK_OUT_SCHEMA],
+                        schema=CHECK_OUT_SCHEMA)
+
+    def check_rows(self, conv: pa.Array, tid: np.ndarray,
+                   ts: np.ndarray) -> tuple[pa.Table, pa.Table]:
+        """(violations, run records) of sorted group-check rows (see
+        ``_group_rows``); each run record also carries its run's row count
+        (``n_rows``)."""
         gc = self.gc
-        if batch.num_rows == 0:
-            return CHECK_OUT_SCHEMA.empty_table()
-        # stay in Arrow: NEVER materialize the string key column as Python
-        # objects — adjacent-equality via sliced pc.equal is a vectorized C
-        # string compare, and only the (rare) violation rows are ever taken.
-        conv_arr = batch[gc.group_key]
-        if isinstance(conv_arr, pa.ChunkedArray):
-            conv_arr = conv_arr.combine_chunks()
-        # null/uncastable group and order keys are excluded: those rows
-        # already fired required/type kernels, and a null key would poison
-        # the adjacent-equality masks below (pc.equal yields null, not False)
-        tid_arr = order_key_int64(batch[gc.order_by])
-        keep_mask = pc.and_(pc.is_valid(tid_arr), pc.is_valid(conv_arr))
-        if not pc.all(keep_mask).as_py():
-            batch = batch.filter(keep_mask)
-            tid_arr = tid_arr.filter(keep_mask)
-            conv_arr = batch[gc.group_key]
-            if isinstance(conv_arr, pa.ChunkedArray):
-                conv_arr = conv_arr.combine_chunks()
-        n = batch.num_rows
+        n = len(tid)
         if n == 0:
-            return CHECK_OUT_SCHEMA.empty_table()
-        tid = _np(tid_arr)
-        if gc.check_mono and gc.ts_column in batch.column_names:
-            ts = _np(ts_key_int64(batch[gc.ts_column])).astype(np.float64)
-        else:
-            # unique-only spec: ts isn't projected — mono never fires and
-            # boundary records carry no valid-ts fields (NaN/-1 sentinels)
-            ts = np.full(n, np.nan)
+            return VIOLATION_SCHEMA.empty_table(), _RUNS_COUNTED.empty_table()
+        same = _adjacent_equal(conv)
 
-        # blocks arrive sorted by (conv, tid)
-        same = _np(pc.equal(conv_arr.slice(1), conv_arr.slice(0, n - 1))) \
-            if n > 1 else np.zeros(0, bool)
-
-        v_idx: list = []            # indices into this (filtered) batch
-        v_cid: list = []
-        v_msg: list = []
-
-        if gc.check_unique:
-            dup = np.flatnonzero(same & (tid[1:] == tid[:-1])) + 1
-            v_idx += dup.tolist()
-            v_cid += [self.cid_unique] * dup.size
-            v_msg += ["Duplicate key"] * dup.size
-
+        dup = np.flatnonzero(same & (tid[1:] == tid[:-1])) + 1 \
+            if gc.check_unique else np.zeros(0, np.int64)
         valid = ts == ts
+        reg = np.zeros(0, np.int64)
         if gc.check_mono and valid.any():
             vpos = np.flatnonzero(valid)
             tv, sv = tid[vpos], ts[vpos]
-            if vpos.size > 1:
-                cv_arr = conv_arr.take(pa.array(vpos)) if not valid.all() \
-                    else conv_arr
-                same_v = _np(pc.equal(cv_arr.slice(1),
-                                      cv_arr.slice(0, vpos.size - 1)))
-            else:
-                same_v = np.zeros(0, bool)
-            reg = np.flatnonzero(same_v & (sv[1:] < sv[:-1]) & (tv[1:] != tv[:-1])) + 1
-            v_idx += vpos[reg].tolist()
-            v_cid += [self.cid_mono] * reg.size
-            v_msg += ["Non-monotonic ts for turn order"] * reg.size
+            same_v = same if valid.all() \
+                else _adjacent_equal(conv.take(pa.array(vpos)))
+            reg = vpos[np.flatnonzero(
+                same_v & (sv[1:] < sv[:-1]) & (tv[1:] != tv[:-1])) + 1]
+        v_idx = np.concatenate([dup, reg]).astype(np.int64)
+        kinds = np.repeat([0, 1], [dup.size, reg.size])
+        viol = pa.table({
+            "conv_id": conv.take(pa.array(v_idx)).cast(pa.string()),
+            "turn_idx": _turn_idx(tid[v_idx]),
+            "constraint_id": pa.DictionaryArray.from_arrays(
+                pa.array(kinds, pa.int8()),
+                pa.array([self.cid_unique, self.cid_mono])).cast(pa.string()),
+            "message": pa.DictionaryArray.from_arrays(
+                pa.array(kinds, pa.int8()),
+                pa.array(["Duplicate key", "Non-monotonic ts for turn order"])
+            ).cast(pa.string()),
+        }, schema=VIOLATION_SCHEMA)
 
-        v_conv = conv_arr.take(pa.array(v_idx, pa.int64()))
-        v_conv = v_conv.cast(pa.string(), safe=False).to_pylist() \
-            if len(v_conv) else []
-        v_tid = tid[np.asarray(v_idx, np.int64)].tolist() if v_idx else []
-
-        # per-run boundary records (runs = maximal same-conv spans in this block)
-        run_starts = np.concatenate([[0], np.flatnonzero(~same) + 1])
-        run_ends = np.concatenate([run_starts[1:], [n]])  # exclusive
+        # per-run records (runs = maximal same-conv spans in this block)
+        starts = np.concatenate([[0], np.flatnonzero(~same) + 1])
+        ends = np.concatenate([starts[1:], [n]])          # exclusive
         idx = np.arange(n)
-        masked_first = np.where(valid, idx, n)
-        first_valid = np.minimum.reduceat(masked_first, run_starts)
-        masked_last = np.where(valid, idx, -1)
-        last_valid = np.maximum.reduceat(masked_last, run_starts)
-        if self.boundary_mode == "edges" and run_starts.size > 2:
-            keep_runs = np.array([0, run_starts.size - 1])
-            run_starts = run_starts[keep_runs]
-            run_ends = run_ends[keep_runs]
-            first_valid = first_valid[keep_runs]
-            last_valid = last_valid[keep_runs]
+        first_v = np.minimum.reduceat(np.where(valid, idx, n), starts)
+        last_v = np.maximum.reduceat(np.where(valid, idx, -1), starts)
+        if self.boundary_mode == "edges" and starts.size > 2:
+            edge = np.array([0, starts.size - 1])
+            starts, ends = starts[edge], ends[edge]
+            first_v, last_v = first_v[edge], last_v[edge]
+        has_f, has_l = first_v < n, last_v >= 0
+        fi, li = np.where(has_f, first_v, 0), np.where(has_l, last_v, 0)
+        return viol, pa.table({
+            "conv_id": conv.take(pa.array(starts)).cast(pa.string()),
+            "first_tid": pa.array(tid[starts]),
+            "last_tid": pa.array(tid[ends - 1]),
+            "first_vts": pa.array(np.where(has_f, ts[fi], np.nan)),
+            "last_vts": pa.array(np.where(has_l, ts[li], np.nan)),
+            "first_vtid": pa.array(np.where(has_f, tid[fi], -1)),
+            "last_vtid": pa.array(np.where(has_l, tid[li], -1)),
+            "n_rows": pa.array(ends - starts),
+        }, schema=_RUNS_COUNTED)
 
-        b_conv = conv_arr.take(pa.array(run_starts, pa.int64())) \
-            .cast(pa.string(), safe=False).to_pylist()
-        b_first_tid = tid[run_starts].tolist()
-        b_last_tid = tid[run_ends - 1].tolist()
-        b_first_vts = [float(ts[int(f)]) if f < n else float("nan") for f in first_valid]
-        b_last_vts = [float(ts[int(l)]) if l >= 0 else float("nan") for l in last_valid]
-        b_first_vtid = [int(tid[int(f)]) if f < n else -1 for f in first_valid]
-        b_last_vtid = [int(tid[int(l)]) if l >= 0 else -1 for l in last_valid]
 
-        k = len(v_conv)
-        r = len(b_conv)
-        return pa.table({
-            "kind": pa.array(["violation"] * k + ["boundary"] * r),
-            "conv_id": pa.array(v_conv + b_conv, pa.string()),
-            "turn_idx": pa.array([int(t) for t in v_tid] + [None] * r, pa.int32()),
-            "constraint_id": pa.array(v_cid + [None] * r, pa.string()),
-            "message": pa.array(v_msg + [None] * r, pa.string()),
-            "first_tid": pa.array([None] * k + b_first_tid, pa.int64()),
-            "last_tid": pa.array([None] * k + b_last_tid, pa.int64()),
-            "first_vts": pa.array([None] * k + b_first_vts, pa.float64()),
-            "last_vts": pa.array([None] * k + b_last_vts, pa.float64()),
-            "first_vtid": pa.array([None] * k + b_first_vtid, pa.int64()),
-            "last_vtid": pa.array([None] * k + b_last_vtid, pa.int64()),
-        }, schema=CHECK_OUT_SCHEMA)
+def local_group_check(batch: pa.Table,
+                      gc: GroupCheck) -> tuple[pa.Table, pa.Table]:
+    """The one-pass group check of a single batch in any row order: sort its
+    group-check rows by (group_key, order_by, ts) and check them, with one
+    run record per run. Violations are exact for a conversation whose rows
+    all sit in this batch; otherwise the driver resolves it from the
+    records."""
+    conv, tid, ts = _group_rows(batch, gc)
+    order = _local_order(conv, tid, ts)
+    if order is not None:
+        conv, tid, ts = conv.take(pa.array(order)), tid[order], ts[order]
+    return SortedRunChecker(gc, boundary_mode="all").check_rows(conv, tid, ts)
+
+
+def split_overlapping_runs(records: pa.Table) -> tuple[pa.Table, pa.Array]:
+    """Split run records into those the boundary merge resolves exactly and
+    the conversations it cannot.
+
+    A conversation's records, in (first_tid, last_tid) order, merge exactly
+    when each starts after every earlier one ends. A record whose first_tid
+    is at or below the running max last_tid overlaps an earlier run — also
+    when the two only share one turn_idx: that turn's duplicate rows sit in
+    both runs, so neither run's first/last valid ts is the extreme of the
+    turn and the seam comparison would depend on row order. Returns
+    (the other conversations' records sorted by (conv_id, first_tid), the
+    sorted distinct conv_ids that need the exact re-check)."""
+    if records.num_rows == 0:
+        return records, pa.array([], pa.string())
+    srt = records.sort_by([("conv_id", "ascending"),
+                           ("first_tid", "ascending"),
+                           ("last_tid", "ascending")])
+    conv = _as_array(srt["conv_id"])
+    first = _np(srt["first_tid"]).astype(np.int64, copy=False)
+    last = _np(srt["last_tid"]).astype(np.int64, copy=False)
+    n = len(first)
+    new_conv = np.concatenate([[True], ~_adjacent_equal(conv)])
+    seg = np.cumsum(new_conv) - 1
+    # running max of last_tid within each conversation: rank-compress the
+    # values and lift every conversation above the ones before it, so one
+    # maximum.accumulate never carries across conversations
+    values, rank = np.unique(last, return_inverse=True)
+    lift = seg * values.size
+    run_max = values[np.maximum.accumulate(lift + rank) - lift]
+    hit = np.zeros(n, bool)
+    hit[1:] = ~new_conv[1:] & (first[1:] <= run_max[:-1])
+    starts = np.flatnonzero(new_conv)
+    conv_hit = np.logical_or.reduceat(hit, starts)
+    return (srt.filter(pa.array(~conv_hit[seg])),
+            conv.take(pa.array(starts[conv_hit])).cast(pa.string()))
+
+
+def resolve_runs(group: pa.Table, mergeable: pa.Table, overlap: pa.Array,
+                 gc: GroupCheck, recheck) -> pa.Table:
+    """Exact group-check violations from batch-local checks: ``group`` (the
+    batches' own violations) and the run records split by
+    ``split_overlapping_runs``. Conversations whose runs follow one another
+    keep their batch-local rows plus the seam merge; the ``overlap`` ones
+    lose their batch-local rows to ``recheck(conv_ids)``, which must check
+    all of their rows."""
+    local = group.filter(pc.invert(pc.is_in(group["conv_id"],
+                                            value_set=overlap)))
+    return pa.concat_tables([local, merge_run_boundaries(mergeable, gc),
+                             recheck(overlap.to_pylist())])
 
 
 def merge_run_boundaries(boundaries: pa.Table, gc: GroupCheck) -> pa.Table:
-    """Driver-side merge over per-run boundary records (tiny: one per conv per
-    block split). Restores exact global semantics across block splits:
-    duplicate keys straddling a split, and ts regressions whose adjacent pair
-    was cut by the split."""
+    """Driver-side merge over run records whose runs follow one another in
+    (conv_id, turn_idx, ts) order: the blocks of one global sort, or the
+    records ``split_overlapping_runs`` keeps. Restores exact global
+    semantics across block splits: duplicate keys straddling a split, and
+    ts regressions whose adjacent pair was cut by the split."""
     if boundaries.num_rows == 0:
         return VIOLATION_SCHEMA.empty_table()
     tbl = boundaries.sort_by([("conv_id", "ascending"), ("first_tid", "ascending")])
-    conv = _np(tbl["conv_id"].cast(pa.string()))
+    conv = _as_array(tbl["conv_id"]).cast(pa.string())
     first_tid = _np(tbl["first_tid"].cast(pa.int64()))
     last_tid = _np(tbl["last_tid"].cast(pa.int64()))
     first_vts = _np(tbl["first_vts"].cast(pa.float64()))
     last_vts = _np(tbl["last_vts"].cast(pa.float64()))
     first_vtid = _np(tbl["first_vtid"].cast(pa.int64()))
     last_vtid = _np(tbl["last_vtid"].cast(pa.int64()))
-    same = conv[1:] == conv[:-1]
+    same = _adjacent_equal(conv)
 
-    out_conv: list = []
+    out_idx: list = []
     out_tid: list = []
     out_cid: list = []
     out_msg: list = []
 
     if gc.check_unique:
         dup = np.flatnonzero(same & (first_tid[1:] == last_tid[:-1])) + 1
-        out_conv += conv[dup].tolist()
-        out_tid += first_tid[dup].tolist()
+        out_idx.append(dup)
+        out_tid.append(first_tid[dup])
         out_cid += [f"unique:({gc.group_key},{gc.order_by})"] * dup.size
         out_msg += ["Duplicate key"] * dup.size
     if gc.check_mono:
@@ -220,28 +328,29 @@ def merge_run_boundaries(boundaries: pa.Table, gc: GroupCheck) -> pa.Table:
         # with no valid-ts rows (NaN first/last_vts) must not break the chain —
         # each record's first valid pair compares against the nearest
         # preceding record (same conv) that has a valid last pair.
-        n = len(conv)
-        starts = np.concatenate([[0], np.flatnonzero(~same) + 1]) \
-            if n else np.zeros(0, np.int64)
+        n = len(first_tid)
+        starts = np.concatenate([[0], np.flatnonzero(~same) + 1])
         lens = np.diff(np.concatenate([starts, [n]]))
         conv_start = np.repeat(starts, lens)          # conv's first record idx
         validL = last_vts == last_vts
         validF = first_vts == first_vts
         src = np.where(validL, np.arange(n), -1)
-        prev_src = np.concatenate([[-1], np.maximum.accumulate(src)[:-1]]) \
-            if n else np.zeros(0, np.int64)
+        prev_src = np.concatenate([[-1], np.maximum.accumulate(src)[:-1]])
         ok = (prev_src >= conv_start) & validF
         p = np.where(prev_src >= 0, prev_src, 0)      # safe gather index
         reg = np.flatnonzero(ok & (first_vts < last_vts[p])
                              & (first_vtid != last_vtid[p]))
-        out_conv += conv[reg].tolist()
-        out_tid += first_vtid[reg].tolist()
+        out_idx.append(reg)
+        out_tid.append(first_vtid[reg])
         out_cid += [f"mono:{gc.order_by}"] * reg.size
         out_msg += ["Non-monotonic ts for turn order"] * reg.size
 
+    idx = np.concatenate(out_idx).astype(np.int64) if out_idx \
+        else np.zeros(0, np.int64)
+    tids = np.concatenate(out_tid) if out_tid else np.zeros(0, np.int64)
     return pa.table({
-        "conv_id": pa.array(out_conv, pa.string()),
-        "turn_idx": pa.array([int(t) for t in out_tid], pa.int32()),
+        "conv_id": conv.take(pa.array(idx)),
+        "turn_idx": _turn_idx(tids),
         "constraint_id": pa.array(out_cid, pa.string()),
         "message": pa.array(out_msg, pa.string()),
     }, schema=VIOLATION_SCHEMA)
@@ -308,7 +417,10 @@ def run_starts(sorted_key) -> np.ndarray:
 
 __all__ = [
     "SortedRunChecker",
+    "local_group_check",
     "merge_run_boundaries",
+    "resolve_runs",
+    "split_overlapping_runs",
     "np_column_hash",
     "run_starts",
     "RUN_BOUNDARY_SCHEMA",

@@ -1,10 +1,15 @@
-"""The fused row-local validate + sketch stage.
+"""The fused row-local stage: validate + sketch + batch-local group check.
 
-ONE pass over the 100 TB input: each Arrow batch produces (a) its violation
-rows and (b) one serialized partial-sketch row, combined in a single output
-table (`kind` column discriminates). The input is read exactly once; the
-combined output is tiny relative to the input, so the pipeline's only
-full-data stage is this map_batches.
+ONE pass over the 100 TB input: each Arrow batch produces (a) its row
+violation rows, (b) one serialized partial-sketch row and (c), when the IR
+has a group check, the batch's own uniqueness/monotonicity check: its
+group-check rows sorted locally and checked by ``local_group_check``, giving
+batch-local group violations and one run record per conversation. All of
+it is combined in a single output table (the `kind` column discriminates).
+The input is read exactly once; the combined output is tiny relative to
+the input, so the pipeline's only full-data stage is this map_batches. The
+driver resolves conversations that span batches from the run records (see
+``pipelines.validate``).
 
 Run as plain tasks (an instance is passed to ``map_batches``): the
 constructor compiles the row validator once on the driver, and the
@@ -15,13 +20,18 @@ emitted PER BATCH so retried/resumed batches merge idempotently by key.
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..constraints.ir import ConstraintIR
 from ..constraints.kernels import VIOLATION_SCHEMA, make_row_validator
 from ..state.sketches import SketchState
+from .groupcheck import RUN_BOUNDARY_SCHEMA, local_group_check
 
 COMBINED_SCHEMA = pa.schema([
-    ("kind", pa.string()),            # "violation" | "sketch" | "verdict"
+    # "violation" (row kernels) | "sketch" | "verdict" |
+    # "group" (batch-local group-check violation) |
+    # "run" (run record; n_rows = the run's row count)
+    ("kind", pa.string()),
     ("conv_id", pa.string()),
     ("turn_idx", pa.int32()),
     ("constraint_id", pa.string()),
@@ -29,11 +39,28 @@ COMBINED_SCHEMA = pa.schema([
     ("n_rows", pa.int64()),
     ("n_violations", pa.int64()),
     ("payload", pa.binary()),
+    *[f for f in RUN_BOUNDARY_SCHEMA if f.name != "conv_id"],
 ])
 
 
+def _rows(kind: str, n: int, cols) -> pa.Table:
+    """``n`` COMBINED_SCHEMA rows of one kind; columns not in ``cols`` are
+    null."""
+    have = cols.column_names if isinstance(cols, pa.Table) else cols
+    return pa.table([pa.repeat(kind, n) if f.name == "kind"
+                     else cols[f.name] if f.name in have
+                     else pa.nulls(n, f.type) for f in COMBINED_SCHEMA],
+                    schema=COMBINED_SCHEMA)
+
+
+def _select(combined: pa.Table, kind: str, schema: pa.Schema) -> pa.Table:
+    rows = combined.filter(pc.equal(combined["kind"], kind))
+    return pa.table([rows[name] for name in schema.names], schema=schema)
+
+
 class RowValidateAndSketch:
-    """Callable stage for ``map_batches``; row validator compiled once."""
+    """Callable stage for ``map_batches``; row validator compiled once. The
+    group check runs when ``ir.group_check`` is set."""
 
     def __init__(self, ir: ConstraintIR, mode: str = "enumerate",
                  sketch: bool = True):
@@ -46,56 +73,32 @@ class RowValidateAndSketch:
         parts = []
         out = self.validate(batch)
         if self.mode == "enumerate":
-            k = out.num_rows
-            if k:
-                parts.append(pa.table({
-                    "kind": pa.array(["violation"] * k),
-                    "conv_id": out["conv_id"],
-                    "turn_idx": out["turn_idx"],
-                    "constraint_id": out["constraint_id"],
-                    "message": out["message"],
-                    "n_rows": pa.nulls(k, pa.int64()),
-                    "n_violations": pa.nulls(k, pa.int64()),
-                    "payload": pa.nulls(k, pa.binary()),
-                }, schema=COMBINED_SCHEMA))
+            if out.num_rows:
+                parts.append(_rows("violation", out.num_rows, out))
         else:
-            parts.append(pa.table({
-                "kind": pa.array(["verdict"]),
-                "conv_id": pa.nulls(1, pa.string()),
-                "turn_idx": pa.nulls(1, pa.int32()),
+            parts.append(_rows("verdict", 1, {
                 "constraint_id": out["first_constraint_id"],
-                "message": pa.nulls(1, pa.string()),
                 "n_rows": out["n_rows"],
-                "n_violations": out["n_violations"],
-                "payload": pa.nulls(1, pa.binary()),
-            }, schema=COMBINED_SCHEMA))
+                "n_violations": out["n_violations"]}))
         if self.sketch:
             s = SketchState()
             s.update_batch(batch)
-            parts.append(pa.table({
-                "kind": pa.array(["sketch"]),
-                "conv_id": pa.nulls(1, pa.string()),
-                "turn_idx": pa.nulls(1, pa.int32()),
-                "constraint_id": pa.nulls(1, pa.string()),
-                "message": pa.nulls(1, pa.string()),
+            parts.append(_rows("sketch", 1, {
                 "n_rows": pa.array([batch.num_rows], pa.int64()),
-                "n_violations": pa.nulls(1, pa.int64()),
-                "payload": pa.array([s.to_bytes()], pa.binary()),
-            }, schema=COMBINED_SCHEMA))
+                "payload": pa.array([s.to_bytes()], pa.binary())}))
+        if self.ir.group_check is not None:
+            group, runs = local_group_check(batch, self.ir.group_check)
+            parts.append(_rows("group", group.num_rows, group))
+            parts.append(_rows("run", runs.num_rows, runs))
         if not parts:
             return COMBINED_SCHEMA.empty_table()
         return pa.concat_tables(parts)
 
 
 def split_combined(combined: pa.Table):
-    """Driver-side split of the (small) combined output: violation rows,
+    """Driver-side split of the (small) combined output: row violation rows,
     merged SketchState, and row/violation counters."""
-    import pyarrow.compute as pc
-
-    viol = combined.filter(pc.equal(combined["kind"], "violation"))
-    violations = pa.table({name: viol[name] for name in
-                           ("conv_id", "turn_idx", "constraint_id", "message")},
-                          schema=VIOLATION_SCHEMA)
+    violations = _select(combined, "violation", VIOLATION_SCHEMA)
 
     sk = combined.filter(pc.equal(combined["kind"], "sketch"))
     state = SketchState()
@@ -108,3 +111,12 @@ def split_combined(combined: pa.Table):
         or violations.num_rows
     return violations, state, {"n_rows": int(n_rows),
                                "n_row_violations": int(n_row_violations)}
+
+
+def split_group_check(combined: pa.Table) -> tuple[pa.Table, pa.Table, int]:
+    """Driver-side split of the one-pass group check: (batch-local group
+    violations, run records, rows the check covered)."""
+    runs = combined.filter(pc.equal(combined["kind"], "run"))
+    return (_select(combined, "group", VIOLATION_SCHEMA),
+            _select(runs, "run", RUN_BOUNDARY_SCHEMA),
+            int(pc.sum(runs["n_rows"]).as_py() or 0))

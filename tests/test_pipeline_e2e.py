@@ -56,6 +56,86 @@ def test_engine_matches_golden(ray_session, corpus, wide_stage):
     assert res.metrics["n_rows"] > gen.n_turns      # includes duplicated rows
 
 
+def test_one_pass_rechecks_overlapping_conversations(ray_session, corpus):
+    """Small batches split conversations across batches, and each injected
+    cross-file duplicate row opens a second run inside its conversation's
+    range: the one-pass plan merges the split runs, re-checks the
+    overlapping conversations from the files and matches the golden set."""
+    gen, spec = corpus
+    res = validate(gen.out_dir, spec=spec, batch_size=512)
+    assert res.metrics["wide_stage"] == "local"
+    assert res.metrics["wide_stage_fallback"] is None
+    assert res.metrics["rechecked_convs"] > 0
+    assert rows(res.violations) == rows(gen.golden_violations)
+
+
+def test_unclustered_and_dataset_sources_fall_back_to_sort(ray_session, corpus,
+                                                          tmp_path):
+    """A row-shuffled multi-file corpus (one run record per conversation per
+    batch) and a Dataset source (nothing to re-read) take the global sort
+    fallback, say why in the metrics and still match the golden set."""
+    import ray.data
+
+    # 3,000 conversations, so the one hot conversation (8,208 turns) does
+    # not fill most of every batch
+    big = generate_transcripts(str(tmp_path / "big"), n_convs=3000, n_files=4)
+    t = pa.concat_tables([pq.read_table(f).replace_schema_metadata(None)
+                          for f in big.files])
+    t = t.take(pa.array(np.random.default_rng(5).permutation(t.num_rows)))
+    files = []
+    for k, part in enumerate(np.array_split(np.arange(t.num_rows), 3)):
+        files.append(str(tmp_path / f"shuffled{k}.parquet"))
+        pq.write_table(t.take(pa.array(part)), files[-1])
+    ir = compile_constraints(spec_with_drift(reference_stats(3000)))
+    res = validate(files, ir=ir, batch_size=256)
+    assert res.metrics["wide_stage"] == "sort"
+    assert "not clustered" in res.metrics["wide_stage_fallback"]
+    assert rows(res.violations) == rows(big.golden_violations)
+
+    gen, spec = corpus
+    res = validate(ray.data.read_parquet(gen.files), spec=spec)
+    assert res.metrics["wide_stage"] == "sort"
+    assert "dataset" in res.metrics["wide_stage_fallback"]
+    assert rows(res.violations) == rows(gen.golden_violations)
+
+
+def test_validate_on_files_runs_one_execution(ray_session, corpus):
+    """The one-pass plan reads a file source once: validate() runs ONE Ray
+    Data execution, counted from Ray Data's own "Starting execution" log
+    records. A Dataset source, which falls back to the sort wide stage,
+    runs two — the control that the count sees a second execution."""
+    import logging
+
+    import ray.data
+
+    class Starts(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.INFO)
+            self.n = 0
+
+        def emit(self, record):
+            self.n += "Starting execution of Dataset" in record.getMessage()
+
+    gen, spec = corpus
+    logger = logging.getLogger("ray.data")
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    counts = {}
+    try:
+        for name, source in (("files", gen.out_dir),
+                             ("dataset", ray.data.read_parquet(gen.files))):
+            handler = Starts()
+            logger.addHandler(handler)
+            try:
+                res = validate(source, spec=spec)
+            finally:
+                logger.removeHandler(handler)
+            counts[name] = (handler.n, res.metrics["wide_stage"])
+    finally:
+        logger.setLevel(level)
+    assert counts == {"files": (1, "local"), "dataset": (2, "sort")}
+
+
 def test_fused_reports_row_violation_count(ray_session, corpus):
     """The fused row-validate+sketch stage's own counter agrees with the
     golden row violations (everything but the mono:/unique: group checks)."""
@@ -364,3 +444,24 @@ def test_finalize_removes_stale_cross_file(ray_session, corpus, tmp_path):
     assert r2["complete"] is True
     viol = read_violations(out)
     assert viol.num_rows == r2["n_violations"] == r1["n_violations"]
+
+
+def test_zero_row_file_validates_clean(ray_session, tmp_path):
+    """A Parquet file with no rows gives an empty result, not a KeyError:
+    Ray drops the schema of an all-empty map output, and validate() falls
+    back to the combined schema."""
+    from jsonschema_validator_ray.constraints.ir import TRANSCRIPT_SPEC
+
+    path = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.table({
+        "conv_id": pa.array([], pa.string()),
+        "turn_idx": pa.array([], pa.int32()),
+        "role": pa.array([], pa.string()),
+        "text": pa.array([], pa.string()),
+        "tool": pa.array([], pa.string()),
+        "ts": pa.array([], pa.timestamp("us")),
+    }), path)
+    for kw in ({}, {"mode": "verdict", "sketch": False}):
+        res = validate(path, spec=TRANSCRIPT_SPEC, **kw)
+        assert res.violations.num_rows == 0, kw
+        assert res.metrics["n_rows"] == 0, kw

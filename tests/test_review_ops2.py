@@ -268,3 +268,46 @@ def test_transcript_ops_ignore_wide_unused_column(ray_session):
         assert g.equals(w)
     assert got[0]["n_sessions"].to_pylist() == [6] * 10
     assert got[1].num_rows == 30 and got[2].num_rows == 10
+
+
+_NO_PYTHONPATH_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])          # the driver imports the package...
+import pyarrow as pa
+import ray
+import ray.data
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from jsonschema_validator_ray.ops.dedup import minhash_near_duplicates
+from jsonschema_validator_ray.ops.stats import global_quantiles
+
+q = global_quantiles(ray.data.from_arrow(pa.table({"x": [1.0, 2.0, 3.0]})),
+                     "x", qs=(0.5,))
+text = "the quick brown fox jumps over the lazy dog again and again"
+docs = ray.data.from_arrow(pa.table({"doc_id": [1, 2, 3],
+                                     "text": [text, text, "zzz yyy xxx"]}))
+pairs = minhash_near_duplicates(docs, "doc_id", "text")
+print("RESULT", q["quantiles"][0.5], pairs.num_rows)
+ray.shutdown()
+"""
+
+
+def test_ops_run_when_workers_lack_the_package(tmp_path):
+    """global_quantiles and minhash_near_duplicates start Ray work with a
+    direct materialize(), not a rayutil collect. Both must probe worker
+    importability first: with PYTHONPATH unset the workers cannot import
+    the package, and without the probe they die with ModuleNotFoundError.
+    Runs in a fresh process with its own one-CPU Ray node."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_PYTHONPATH_SCRIPT, repo], env=env,
+        cwd=str(tmp_path), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert "RESULT 2.0 1" in proc.stdout, proc.stdout[-2000:]
