@@ -17,11 +17,11 @@ Lifecycle (SURVEY.md §3.5; the analog of the reference's three entry points):
      The plan falls back to the global sort wide stage — a range sort of a
      3-column re-read on (conv_id, turn_idx, ts), one sorted-run pass per
      block and the boundary merge — when the source is a ``Dataset`` (no
-     files to re-read), when the run records exceed ``MAX_RUNS_PER_ROW`` of
-     the rows (input not clustered by conversation) or when more than
-     ``MAX_RECHECK_CONVS`` conversations overlap. ``metrics`` records the
-     plan taken (``wide_stage``), why it fell back and how many
-     conversations were re-checked.
+     files to re-read) or when the overlapping conversations hold more
+     than ``MAX_RECHECK_SHARE`` of the checked rows (input not clustered
+     by conversation, or one hot conversation copied into another file).
+     ``metrics`` records the plan taken (``wide_stage``), why it fell back
+     and how many conversations and rows were re-checked.
   4. Driver: merge partial sketches → drift verdicts; verdict = no
      violations ∧ all drift checks pass.
 
@@ -54,19 +54,25 @@ from ..stages.groupcheck import (RUN_BOUNDARY_SCHEMA, SortedRunChecker,
                                  local_group_check, merge_run_boundaries,
                                  resolve_runs, split_overlapping_runs)
 from ..stages.rowstage import (COMBINED_SCHEMA, RowValidateAndSketch,
-                               split_combined, split_group_check)
+                               select_kind, split_combined,
+                               split_group_check)
 from ..state.sketches import SketchState
 
 Source = Union[str, Sequence[str], "ray.data.Dataset"]  # noqa: F821
 
-# The one-pass group check falls back to the global sort when the row
-# stage's run records say it does not pay. Clustered input yields about one
-# record per conversation per batch; beyond a quarter of the rows the
-# records are no longer small next to the data (the driver holds them all).
-MAX_RUNS_PER_ROW = 0.25
-# The driver re-reads the rows of every conversation whose runs overlap; past
-# this many, a distributed sort beats one process reading them.
-MAX_RECHECK_CONVS = 10_000
+# The one-pass group check falls back to the global sort when the driver
+# would re-check more than this share of the checked rows: the rows of the
+# conversations whose runs overlap, which the driver process alone reads
+# back and holds. scripts/recheck_crossover.py (1 Ray CPU on a one-core
+# host, 353,184 rows in 4 files, 65,536-row batches, the rows of a chosen
+# share of conversations scattered over the files; medians of 5) measured
+# whole calls, local vs sort: 0.75 vs 1.00 s at 1% re-checked rows, 0.70 vs
+# 0.94 s at 10%, 0.69 vs 1.05 s at 19%, 0.93 vs 1.24 s at 45% and 1.17 vs
+# 1.34 s at 89%. On one CPU the local plan always wins. Its driver stage
+# grows 0.05 -> 0.38 s (about 1 us per re-checked row, in one process);
+# the sort stage's 0.33-0.60 s spreads over the cluster's CPUs, and spread
+# evenly over 4 CPUs it matches the re-check at about 10% re-checked rows.
+MAX_RECHECK_SHARE = 0.10
 
 
 @dataclass
@@ -182,13 +188,8 @@ def _wide_stage(source: Source, gc,
         # all blocks emitted empty tables: Ray loses the schema of an
         # all-empty map output — semantically there is no wide-stage output
         return VIOLATION_SCHEMA.empty_table(), RUN_BOUNDARY_SCHEMA.empty_table()
-
-    def rows(kind: str, schema: pa.Schema) -> pa.Table:
-        t = out.filter(pc.equal(out["kind"], kind))
-        return pa.table([t[n] for n in schema.names], schema=schema)
-
-    viol, runs = rows("violation", VIOLATION_SCHEMA), \
-        rows("boundary", RUN_BOUNDARY_SCHEMA)
+    viol = select_kind(out, "violation", VIOLATION_SCHEMA)
+    runs = select_kind(out, "boundary", RUN_BOUNDARY_SCHEMA)
     if merge_boundaries_now:
         viol = pa.concat_tables([viol, merge_run_boundaries(runs, gc)])
     return viol, runs
@@ -201,30 +202,28 @@ def _group_check(source: Source, paths: Optional[list], combined: pa.Table,
     run records, plan metrics). With ``merge_boundaries_now=False``
     (partitioned mode) the batch-local rows and the raw run records are
     returned as they are: ``finalize`` resolves them across partitions."""
-    fallback = None
+    plan = {"wide_stage": "local", "wide_stage_fallback": None,
+            "rechecked_convs": 0, "rechecked_rows": 0}
     if paths is None:
-        fallback = "dataset source: no files to re-read"
+        plan["wide_stage_fallback"] = "dataset source: no files to re-read"
     else:
-        group, runs, n_rows = split_group_check(combined)
-        mergeable, overlap = split_overlapping_runs(runs)
-        if runs.num_rows > MAX_RUNS_PER_ROW * n_rows:
-            fallback = (f"input not clustered: {runs.num_rows} run records "
-                        f"for {n_rows} rows")
-        elif len(overlap) > MAX_RECHECK_CONVS:
-            fallback = (f"{len(overlap)} conversations with overlapping runs"
-                        f" (re-check cap {MAX_RECHECK_CONVS})")
-    if fallback is not None:
+        group, counted = split_group_check(combined)
+        mergeable, overlap = split_overlapping_runs(counted)
+        n_rows = pc.sum(counted["n_rows"]).as_py() or 0
+        n_recheck = pc.sum(counted.filter(pc.is_in(
+            counted["conv_id"], value_set=overlap))["n_rows"]).as_py() or 0
+        if n_recheck > MAX_RECHECK_SHARE * n_rows:
+            plan["wide_stage_fallback"] = (
+                f"{n_recheck} of {n_rows} rows in conversations with "
+                f"overlapping runs (re-check bound {MAX_RECHECK_SHARE:.0%})")
+    if plan["wide_stage_fallback"] is not None:
         viol, runs = _wide_stage(source, gc, merge_boundaries_now)
-        return viol, runs, {"wide_stage": "sort",
-                            "wide_stage_fallback": fallback,
-                            "rechecked_convs": 0}
-    rechecked = 0
+        return viol, runs, {**plan, "wide_stage": "sort"}
     if merge_boundaries_now:
         group = resolve_runs(group, mergeable, overlap, gc,
                              lambda convs: _recheck_convs(paths, convs, gc))
-        rechecked = len(overlap)
-    return group, runs, {"wide_stage": "local", "wide_stage_fallback": None,
-                         "rechecked_convs": rechecked}
+        plan.update(rechecked_convs=len(overlap), rechecked_rows=n_recheck)
+    return group, counted.select(RUN_BOUNDARY_SCHEMA.names), plan
 
 
 def validate(source: Source, spec: Optional[dict] = None,
@@ -268,7 +267,7 @@ def validate(source: Source, spec: Optional[dict] = None,
     viol_parts = [violations]
     boundaries = None
     plan = {"wide_stage": None, "wide_stage_fallback": None,
-            "rechecked_convs": 0}
+            "rechecked_convs": 0, "rechecked_rows": 0}
     t1 = time.perf_counter()
     if gc is not None:
         group, boundaries, plan = _group_check(

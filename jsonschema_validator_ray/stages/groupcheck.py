@@ -59,7 +59,7 @@ RUN_BOUNDARY_SCHEMA = pa.schema([
 ])
 
 # run records as the checker returns them: plus the run's row count
-_RUNS_COUNTED = RUN_BOUNDARY_SCHEMA.append(pa.field("n_rows", pa.int64()))
+RUNS_COUNTED = RUN_BOUNDARY_SCHEMA.append(pa.field("n_rows", pa.int64()))
 
 CHECK_OUT_SCHEMA = pa.schema([
     ("kind", pa.string()),         # "violation" | "boundary"
@@ -177,7 +177,7 @@ class SortedRunChecker:
         gc = self.gc
         n = len(tid)
         if n == 0:
-            return VIOLATION_SCHEMA.empty_table(), _RUNS_COUNTED.empty_table()
+            return VIOLATION_SCHEMA.empty_table(), RUNS_COUNTED.empty_table()
         same = _adjacent_equal(conv)
 
         dup = np.flatnonzero(same & (tid[1:] == tid[:-1])) + 1 \
@@ -226,7 +226,7 @@ class SortedRunChecker:
             "first_vtid": pa.array(np.where(has_f, tid[fi], -1)),
             "last_vtid": pa.array(np.where(has_l, tid[li], -1)),
             "n_rows": pa.array(ends - starts),
-        }, schema=_RUNS_COUNTED)
+        }, schema=RUNS_COUNTED)
 
 
 def local_group_check(batch: pa.Table,
@@ -424,5 +424,6 @@ __all__ = [
     "np_column_hash",
     "run_starts",
     "RUN_BOUNDARY_SCHEMA",
+    "RUNS_COUNTED",
     "CHECK_OUT_SCHEMA",
 ]

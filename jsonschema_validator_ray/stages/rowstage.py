@@ -25,7 +25,8 @@ import pyarrow.compute as pc
 from ..constraints.ir import ConstraintIR
 from ..constraints.kernels import VIOLATION_SCHEMA, make_row_validator
 from ..state.sketches import SketchState
-from .groupcheck import RUN_BOUNDARY_SCHEMA, local_group_check
+from .groupcheck import (RUN_BOUNDARY_SCHEMA, RUNS_COUNTED,
+                         local_group_check)
 
 COMBINED_SCHEMA = pa.schema([
     # "violation" (row kernels) | "sketch" | "verdict" |
@@ -53,8 +54,10 @@ def _rows(kind: str, n: int, cols) -> pa.Table:
                     schema=COMBINED_SCHEMA)
 
 
-def _select(combined: pa.Table, kind: str, schema: pa.Schema) -> pa.Table:
-    rows = combined.filter(pc.equal(combined["kind"], kind))
+def select_kind(table: pa.Table, kind: str, schema: pa.Schema) -> pa.Table:
+    """The rows of one ``kind`` of a kind-tagged stage output, projected to
+    ``schema``."""
+    rows = table.filter(pc.equal(table["kind"], kind))
     return pa.table([rows[name] for name in schema.names], schema=schema)
 
 
@@ -98,7 +101,7 @@ class RowValidateAndSketch:
 def split_combined(combined: pa.Table):
     """Driver-side split of the (small) combined output: row violation rows,
     merged SketchState, and row/violation counters."""
-    violations = _select(combined, "violation", VIOLATION_SCHEMA)
+    violations = select_kind(combined, "violation", VIOLATION_SCHEMA)
 
     sk = combined.filter(pc.equal(combined["kind"], "sketch"))
     state = SketchState()
@@ -113,10 +116,8 @@ def split_combined(combined: pa.Table):
                                "n_row_violations": int(n_row_violations)}
 
 
-def split_group_check(combined: pa.Table) -> tuple[pa.Table, pa.Table, int]:
+def split_group_check(combined: pa.Table) -> tuple[pa.Table, pa.Table]:
     """Driver-side split of the one-pass group check: (batch-local group
-    violations, run records, rows the check covered)."""
-    runs = combined.filter(pc.equal(combined["kind"], "run"))
-    return (_select(combined, "group", VIOLATION_SCHEMA),
-            _select(runs, "run", RUN_BOUNDARY_SCHEMA),
-            int(pc.sum(runs["n_rows"]).as_py() or 0))
+    violations, run records with each run's row count in ``n_rows``)."""
+    return (select_kind(combined, "group", VIOLATION_SCHEMA),
+            select_kind(combined, "run", RUNS_COUNTED))

@@ -89,7 +89,7 @@ def test_unclustered_and_dataset_sources_fall_back_to_sort(ray_session, corpus,
     ir = compile_constraints(spec_with_drift(reference_stats(3000)))
     res = validate(files, ir=ir, batch_size=256)
     assert res.metrics["wide_stage"] == "sort"
-    assert "not clustered" in res.metrics["wide_stage_fallback"]
+    assert "overlapping runs" in res.metrics["wide_stage_fallback"]
     assert rows(res.violations) == rows(big.golden_violations)
 
     gen, spec = corpus
@@ -97,6 +97,48 @@ def test_unclustered_and_dataset_sources_fall_back_to_sort(ray_session, corpus,
     assert res.metrics["wide_stage"] == "sort"
     assert "dataset" in res.metrics["wide_stage_fallback"]
     assert rows(res.violations) == rows(gen.golden_violations)
+
+
+def test_hot_conversation_copied_to_another_file_falls_back_to_sort(
+        ray_session, corpus, tmp_path):
+    """A copy of the hot conversation (8,208 turns) in another file overlaps
+    every run of it, and its rows are most of the corpus: past
+    MAX_RECHECK_SHARE of the checked rows, so validate() takes the sort
+    fallback instead of re-reading the conversation into the driver. The
+    result is exact: each copied row's row violations once more, plus one
+    duplicate key per copied row."""
+    import pyarrow.compute as pc
+
+    gen, spec = corpus
+    assert validate(gen.out_dir, spec=spec,
+                    batch_size=2048).metrics["wide_stage"] == "local"
+    t = pa.concat_tables([pq.read_table(f).replace_schema_metadata(None)
+                          for f in gen.files])
+    counts = pc.value_counts(t["conv_id"])
+    hot = counts.field("values")[
+        pc.index(counts.field("counts"),
+                 pc.max(counts.field("counts"))).as_py()].as_py()
+    copy = t.filter(pc.equal(t["conv_id"], hot))
+    assert copy.num_rows >= 8208
+    pq.write_table(copy, str(tmp_path / "hot-copy.parquet"))
+    res = validate(list(gen.files) + [str(tmp_path / "hot-copy.parquet")],
+                   spec=spec, batch_size=2048)
+    assert res.metrics["wide_stage"] == "sort"
+    assert "overlapping runs" in res.metrics["wide_stage_fallback"]
+
+    golden = gen.golden_violations
+    is_group = pc.or_(pc.starts_with(golden["constraint_id"], "mono:"),
+                      pc.starts_with(golden["constraint_id"], "unique:"))
+    again = golden.filter(pc.and_(pc.equal(golden["conv_id"], hot),
+                                  pc.invert(is_group)))
+    tids = copy["turn_idx"].drop_null()
+    dup = pa.table({
+        "conv_id": pa.array([hot] * len(tids), pa.string()),
+        "turn_idx": tids.cast(pa.int32()),
+        "constraint_id": pa.array(["unique:(conv_id,turn_idx)"] * len(tids)),
+        "message": pa.array(["Duplicate key"] * len(tids)),
+    }).cast(golden.schema)
+    assert rows(res.violations) == rows(pa.concat_tables([golden, again, dup]))
 
 
 def test_validate_on_files_runs_one_execution(ray_session, corpus):
