@@ -334,8 +334,7 @@ def q_conv_stats(sf_dir: str) -> pa.Table:
         schema=clean_read_schema(gen.files[0],
                                  ["conv_id", "tool", "text"]))
 
-    from jsonschema_validator_ray.ops.aggregates import _add_bucket_fn
-    add_bucket = _add_bucket_fn("conv_id", 64)
+    from jsonschema_validator_ray.rayutil import bucket_groups
 
     def agg_bucket(group: pa.Table) -> pa.Table:
         t = pa.table({
@@ -354,10 +353,7 @@ def q_conv_stats(sf_dir: str) -> pa.Table:
             "sum_chars": g["chars_sum"].cast(pa.int64()),
         })
 
-    out = _collect(ds.map_batches(add_bucket, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                   .groupby("_bucket")
-                   .map_groups(agg_bucket, batch_format="pyarrow"))
+    out = _collect(bucket_groups(ds, "conv_id", agg_bucket))
     # rows with null conv_id keep their own SQL GROUP BY group (none in the
     # corpus, but semantics must match the oracle)
     return pa.table({
@@ -429,8 +425,7 @@ def q_mono_check_events(sf_dir: str) -> pa.Table:
     users per bucket — with a vectorized in-group lag check and per-user
     count (zeros included); nothing but the result reaches the driver."""
 
-    from jsonschema_validator_ray.ops.aggregates import _add_bucket_fn
-    add_bucket = _add_bucket_fn("user_id", 128)
+    from jsonschema_validator_ray.rayutil import bucket_groups
 
     def check_bucket(group: pa.Table) -> pa.Table:
         srt = group.sort_by([("user_id", "ascending"),
@@ -453,10 +448,7 @@ def q_mono_check_events(sf_dir: str) -> pa.Table:
                          "n_regressions": pa.array(counts, pa.int64())})
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
-    out = _collect(ds.map_batches(add_bucket, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                   .groupby("_bucket")
-                   .map_groups(check_bucket, batch_format="pyarrow"))
+    out = _collect(bucket_groups(ds, "user_id", check_bucket))
     return pa.table({
         "user_id": out["user_id"].cast(pa.int64()),
         "n_regressions": out["n_regressions"].cast(pa.int64()),
@@ -611,8 +603,7 @@ def q_running_total_orders(sf_dir: str) -> pa.Table:
     """Running per-customer spend (window cumulative sum) via ONE hash-bucket
     groupby: whole customers per bucket, vectorized in-group cumsum."""
 
-    from jsonschema_validator_ray.ops.aggregates import _add_bucket_fn
-    add_bucket = _add_bucket_fn("o_custkey", 128)
+    from jsonschema_validator_ray.rayutil import bucket_groups
 
     def cum_bucket(group: pa.Table) -> pa.Table:
         srt = group.sort_by([("o_custkey", "ascending"),
@@ -638,10 +629,7 @@ def q_running_total_orders(sf_dir: str) -> pa.Table:
 
     ds = _read(sf_dir, "orders",
                ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
-    out = _collect(ds.map_batches(add_bucket, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                   .groupby("_bucket")
-                   .map_groups(cum_bucket, batch_format="pyarrow"))
+    out = _collect(bucket_groups(ds, "o_custkey", cum_bucket))
     return pa.table({
         "o_custkey": out["o_custkey"].cast(pa.int64()),
         "o_orderkey": out["o_orderkey"].cast(pa.int64()),
@@ -1023,8 +1011,7 @@ def q_sliding_window_events(sf_dir: str) -> pa.Table:
 
     HOUR_US = 3_600_000_000
 
-    from jsonschema_validator_ray.ops.aggregates import _add_bucket_fn
-    add_bucket = _add_bucket_fn("user_id", 128)
+    from jsonschema_validator_ray.rayutil import bucket_groups
 
     def window_bucket(group: pa.Table) -> pa.Table:
         srt = group.sort_by([("user_id", "ascending"), ("ts", "ascending"),
@@ -1047,10 +1034,7 @@ def q_sliding_window_events(sf_dir: str) -> pa.Table:
         })
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
-    out = _collect(ds.map_batches(add_bucket, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                   .groupby("_bucket")
-                   .map_groups(window_bucket, batch_format="pyarrow"))
+    out = _collect(bucket_groups(ds, "user_id", window_bucket))
     return pa.table({
         "event_id": out["event_id"].cast(pa.int64()),
         "n_events_last_hour": out["n_events_last_hour"].cast(pa.int64()),
@@ -3376,10 +3360,7 @@ def q_event_deltas(sf_dir: str) -> pa.Table:
     (ordered by ts, event_id; first event per user → null). One hash-bucket
     groupby keeps whole users per bucket; in-bucket it's one sort + one
     vectorized diff — the canonical lag/lead shape at any scale."""
-    from jsonschema_validator_ray.ops.aggregates import _add_bucket_fn
-    from jsonschema_validator_ray.rayutil import default_buckets
-
-    add_bucket = _add_bucket_fn("user_id", default_buckets())
+    from jsonschema_validator_ray.rayutil import bucket_groups
 
     def lag_bucket(group: pa.Table) -> pa.Table:
         empty = pa.table({"event_id": pa.array([], pa.int64()),
@@ -3406,10 +3387,7 @@ def q_event_deltas(sf_dir: str) -> pa.Table:
         })
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    out = _collect(ds.map_batches(add_bucket, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                   .groupby("_bucket")
-                   .map_groups(lag_bucket, batch_format="pyarrow"))
+    out = _collect(bucket_groups(ds, "user_id", lag_bucket))
     return out.sort_by("event_id")
 
 
@@ -3830,10 +3808,7 @@ def q_ntile_events(sf_dir: str) -> pa.Table:
     One hash-bucket shuffle; in-bucket one lexsort + the SQL NTILE split
     (first n%k tiles get the extra row), fully vectorized."""
     K = 4
-    from jsonschema_validator_ray.ops.aggregates import _add_bucket_fn
-    from jsonschema_validator_ray.rayutil import default_buckets
-
-    add_bucket = _add_bucket_fn("event_type", default_buckets())
+    from jsonschema_validator_ray.rayutil import bucket_groups
 
     def tile_bucket(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -3859,10 +3834,7 @@ def q_ntile_events(sf_dir: str) -> pa.Table:
                          "tile": pa.array(tile + 1, pa.int64())})
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-    out = _collect(ds.map_batches(add_bucket, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                   .groupby("_bucket").map_groups(tile_bucket,
-                                                  batch_format="pyarrow"))
+    out = _collect(bucket_groups(ds, "event_type", tile_bucket))
     return out.sort_by("event_id")
 
 

@@ -18,8 +18,8 @@ import pyarrow.compute as pc
 # module-level so worker closures carry these by value when the package
 # is cloudpickled by-value (runtime relative imports inside worker fns
 # break the no-PYTHONPATH fallback — ADVICE r4)
-from ..rayutil import collect_partials, default_buckets, strip_meta
-from ..stages.groupcheck import np_column_hash, run_starts
+from ..rayutil import bucket_groups, collect_partials, strip_meta
+from ..stages.groupcheck import run_starts, segmented_running_max
 
 
 def profile_columns(ds, numeric_cols: Sequence[str] = (),
@@ -162,7 +162,7 @@ def _argmax_rows(table: pa.Table, key: str, order_col: str,
 
 
 def grouped_argmax(ds, key: str, order_col: str, *,
-                   tiebreak: str | None = None, n_buckets: int = 0):
+                   tiebreak: str | None = None):
     """Latest-row-per-group (the ``row_number() OVER (PARTITION BY key
     ORDER BY order_col DESC, tiebreak) = 1`` window): each key's whole row
     at its maximum ``order_col``, deterministic under ties via ``tiebreak``
@@ -174,39 +174,18 @@ def grouped_argmax(ds, key: str, order_col: str, *,
     in-bucket final repeats the same argmax. Works for string or integer
     keys (no int64-cast restriction — the run-boundary scan is Arrow-typed).
     Null keys / null order values are dropped in the partial stage."""
-    from ..rayutil import ensure_worker_importable, strip_meta
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
-
     def partial(batch: pa.Table) -> pa.Table:
-
         mask = pc.and_kleene(pc.is_valid(batch[key]),
                              pc.is_valid(batch[order_col])).fill_null(False)
-        t = _argmax_rows(strip_meta(batch.filter(mask)), key, order_col,
-                         tiebreak)
-        h = (np_column_hash(t[key]) % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("_bucket", pa.array(h, pa.int64()))
+        return _argmax_rows(batch.filter(mask), key, order_col, tiebreak)
 
     def final(group: pa.Table) -> pa.Table:
-        return _argmax_rows(group.drop_columns(["_bucket"]), key, order_col,
-                            tiebreak)
+        return _argmax_rows(group, key, order_col, tiebreak)
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(final, batch_format="pyarrow")
+    return bucket_groups(ds, key, final, prepare=partial)
 
 
-def _add_bucket_fn(key: str, n_buckets: int):
-    def add_bucket(batch: pa.Table) -> pa.Table:
-
-        h = (np_column_hash(batch[key]) % np.uint64(n_buckets)) \
-            .astype(np.int64)
-        return strip_meta(batch).append_column("_bucket",
-                                               pa.array(h, pa.int64()))
-    return add_bucket
-
-
-def grouped_mode(ds, key: str, value: str, n_buckets: int = 0):
+def grouped_mode(ds, key: str, value: str):
     """Per-group MODE (most frequent value, ties → smallest value — the
     deterministic tiebreak SQL expresses as
     ``row_number() OVER (PARTITION BY key ORDER BY cnt DESC, value)``).
@@ -215,22 +194,15 @@ def grouped_mode(ds, key: str, value: str, n_buckets: int = 0):
     the shuffle to distinct-pair rows, ONE hash-bucket groupby on the key
     co-locates each key's pairs, and the in-bucket argmax is a sort + run
     scan (no Python per group). Works for string or integer keys/values."""
-    from ..rayutil import default_buckets
-    n_buckets = default_buckets(n_buckets)
-
     def partial(batch: pa.Table) -> pa.Table:
         sel = batch.select([key, value])
         both = pc.and_kleene(pc.is_valid(sel[key]), pc.is_valid(sel[value]))
         sel = sel.filter(both.fill_null(False))
         g = pa.TableGroupBy(sel, [key, value]).aggregate([([], "count_all")])
-        t = pa.table({key: g[key], value: g[value],
-                      "cnt": g["count_all"].cast(pa.int64())})
-        h = (np_column_hash(t[key]) % np.uint64(n_buckets)).astype(np.int64)
-        return strip_meta(t).append_column("_bucket",
-                                           pa.array(h, pa.int64()))
+        return pa.table({key: g[key], value: g[value],
+                         "cnt": g["count_all"].cast(pa.int64())})
 
-    def bucket_mode(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_mode(body: pa.Table) -> pa.Table:
         if body.num_rows == 0:
             return pa.table({key: body[key], "mode": body[value],
                              "n": pa.array([], pa.int64())})
@@ -243,14 +215,12 @@ def grouped_mode(ds, key: str, value: str, n_buckets: int = 0):
         return pa.table({key: top[key], "mode": top[value],
                          "n": top["cnt_sum"].cast(pa.int64())})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_mode, batch_format="pyarrow")
+    return bucket_groups(ds, key, bucket_mode, prepare=partial)
 
 
 def grouped_string_agg(ds, key: str, value: str,
                        order_cols: "Sequence[str]", *, sep: str = ">",
-                       cap: int = 8, n_buckets: int = 0):
+                       cap: int = 8):
     """Per-group ORDERED string aggregation capped at the first ``cap``
     elements (SQL ``string_agg(value, sep ORDER BY order_cols)`` over
     ``row_number() <= cap``) — the journey/path-extraction primitive
@@ -266,21 +236,14 @@ def grouped_string_agg(ds, key: str, value: str,
     kernel call. The cap bounds output row width, so a hot key costs its
     row count in the sort, never an unbounded string. Null keys and null
     values are dropped (documented join-key contract)."""
-    from ..rayutil import default_buckets
-    n_buckets = default_buckets(n_buckets)
     cols = [key, *order_cols, value]
 
     def partial(batch: pa.Table) -> pa.Table:
         sel = batch.select(cols)
         ok = pc.and_kleene(pc.is_valid(sel[key]), pc.is_valid(sel[value]))
-        sel = sel.filter(ok.fill_null(False))
-        h = (np_column_hash(sel[key]) % np.uint64(n_buckets)) \
-            .astype(np.int64)
-        return strip_meta(sel).append_column("_bucket",
-                                             pa.array(h, pa.int64()))
+        return sel.filter(ok.fill_null(False))
 
-    def bucket_agg(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_agg(body: pa.Table) -> pa.Table:
         if body.num_rows == 0:
             return pa.table({key: body[key],
                              "path": pa.array([], pa.string()),
@@ -306,13 +269,10 @@ def grouped_string_agg(ds, key: str, value: str,
             "path": pc.binary_join(lst, sep),
             "n_events": pa.array(sizes, pa.int64())})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_agg, batch_format="pyarrow")
+    return bucket_groups(ds, key, bucket_agg, prepare=partial)
 
 
-def grouped_locf(ds, key: str, order_cols: "Sequence[str]", value: str,
-                 n_buckets: int = 0):
+def grouped_locf(ds, key: str, order_cols: "Sequence[str]", value: str):
     """Per-group forward-fill (LOCF — last observation carried forward):
     SQL ``last_value(value IGNORE NULLS) OVER (PARTITION BY key ORDER BY
     order_cols ROWS UNBOUNDED PRECEDING)`` — the sensor/gap-fill window
@@ -327,21 +287,15 @@ def grouped_locf(ds, key: str, order_cols: "Sequence[str]", value: str,
     has a position below the clamp, so fills never leak across keys).
     A null take-index re-nullifies pre-observation rows in one ``take``
     kernel. Null keys are dropped (documented grouped-op contract)."""
-    from ..rayutil import default_buckets
-    n_buckets = default_buckets(n_buckets)
     cols = [key, *order_cols, value]
 
     def partial(batch: pa.Table) -> pa.Table:
         sel = batch.select(cols)
         if sel[key].null_count:
             sel = sel.filter(pc.is_valid(sel[key]))
-        h = (np_column_hash(sel[key]) % np.uint64(n_buckets)) \
-            .astype(np.int64)
-        return strip_meta(sel).append_column("_bucket",
-                                             pa.array(h, pa.int64()))
+        return sel
 
-    def bucket_fill(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_fill(body: pa.Table) -> pa.Table:
         srt = body.sort_by([(key, "ascending")]
                            + [(c, "ascending") for c in order_cols])
         v = srt[value].combine_chunks()
@@ -360,13 +314,10 @@ def grouped_locf(ds, key: str, order_cols: "Sequence[str]", value: str,
             {c: srt[c] for c in (key, *order_cols)}
             | {"filled": v.take(idx)})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_fill, batch_format="pyarrow")
+    return bucket_groups(ds, key, bucket_fill, prepare=partial)
 
 
-def windowed_first(ds, keys: "Sequence[str]", order_cols: "Sequence[str]",
-                   n_buckets: int = 0):
+def windowed_first(ds, keys: "Sequence[str]", order_cols: "Sequence[str]"):
     """Keep the FIRST row of each composite-key group: SQL
     ``row_number() OVER (PARTITION BY keys ORDER BY order_cols) = 1`` —
     the throttle / dedup-by-time-window primitive (e.g. first event per
@@ -379,24 +330,16 @@ def windowed_first(ds, keys: "Sequence[str]", order_cols: "Sequence[str]",
     never a driver merge. In-bucket: sort by keys + order, then the
     composite run mask is the elementwise OR of :func:`run_starts` over
     each key column (a row opens a group iff ANY key changed)."""
-    from ..rayutil import default_buckets
-    n_buckets = default_buckets(n_buckets)
-
     def partial(batch: pa.Table) -> pa.Table:
-        sel = batch
-        if any(sel[k].null_count for k in keys):
+        if any(batch[k].null_count for k in keys):
             ok = None
             for k in keys:
-                m = pc.is_valid(sel[k])
+                m = pc.is_valid(batch[k])
                 ok = m if ok is None else pc.and_(ok, m)
-            sel = sel.filter(ok)
-        h = (np_column_hash(sel[keys[0]]) % np.uint64(n_buckets)) \
-            .astype(np.int64)
-        return strip_meta(sel).append_column("_bucket",
-                                             pa.array(h, pa.int64()))
+            batch = batch.filter(ok)
+        return batch
 
-    def bucket_first(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_first(body: pa.Table) -> pa.Table:
         srt = body.sort_by([(k, "ascending") for k in keys]
                            + [(c, "ascending") for c in order_cols])
         first = run_starts(srt[keys[0]])
@@ -404,14 +347,10 @@ def windowed_first(ds, keys: "Sequence[str]", order_cols: "Sequence[str]",
             first |= run_starts(srt[k])
         return srt.filter(pa.array(first))
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_first,
-                                       batch_format="pyarrow")
+    return bucket_groups(ds, keys[0], bucket_first, prepare=partial)
 
 
-def grouped_percent_rank(ds, key: str, value: str, id_col: str,
-                         n_buckets: int = 0):
+def grouped_percent_rank(ds, key: str, value: str, id_col: str):
     """SQL ``percent_rank() OVER (PARTITION BY key ORDER BY value)`` =
     ``(rank − 1) / (n − 1)`` with min-rank ties, 0.0 for single-row
     partitions. Returns ``(id_col, key, prk)`` for every row.
@@ -420,13 +359,9 @@ def grouped_percent_rank(ds, key: str, value: str, id_col: str,
     single lexsort + two run scans (key segments for n, (key, value) runs
     for the tie-min rank) — no Python per group. Rows with a NULL value are
     dropped (their SQL rank depends on NULLS FIRST/LAST dialect defaults);
-    NULL keys form their own partition."""
-    from ..rayutil import default_buckets
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(key, n_buckets)
-
-    def bucket_prk(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    NULL keys form their own partition. Only the three named columns
+    enter the shuffle."""
+    def bucket_prk(body: pa.Table) -> pa.Table:
         body = body.filter(pc.is_valid(body[value]))
         n = body.num_rows
         if n == 0:
@@ -460,9 +395,7 @@ def grouped_percent_rank(ds, key: str, value: str, id_col: str,
             key: body[key],
             "prk": pa.array(prk[inv], pa.float64())})
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_prk, batch_format="pyarrow")
+    return bucket_groups(ds, key, bucket_prk, columns=[id_col, key, value])
 
 
 def grouped_corr(ds, key: str, x: str, y: str) -> pa.Table:
@@ -694,8 +627,7 @@ def grouped_skew_kurt(ds, key: str, x: str) -> pa.Table:
                      "kurt": _nan_to_null(kurt)}).sort_by(key)
 
 
-def grouped_quantiles(ds, key: str, value: str, qs: Sequence[float],
-                      n_buckets: int = 0):
+def grouped_quantiles(ds, key: str, value: str, qs: Sequence[float]):
     """EXACT grouped quantiles (linear interpolation, = SQL
     ``quantile_cont``): per distinct ``key``, the quantiles of ``value`` at
     each q in ``qs`` plus the group row count.
@@ -707,12 +639,10 @@ def grouped_quantiles(ds, key: str, value: str, qs: Sequence[float],
     (Unbounded key domains at scale should prefer the mergeable t-digest in
     ``state/tdigest.py`` — exact quantiles fundamentally need each group's
     full value set in one place.) Returns a Dataset of
-    ``(key, n, q_<pct>...)`` rows.
+    ``(key, n, q_<pct>...)`` rows. Only ``key`` and ``value`` enter the
+    shuffle.
     """
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
     qs = list(qs)
-    n_buckets = default_buckets(n_buckets)
     qnames = [f"q{int(round(q * 100)):02d}" for q in qs]
 
     def bucket_quantiles(group: pa.Table) -> pa.Table:
@@ -749,15 +679,11 @@ def grouped_quantiles(ds, key: str, value: str, qs: Sequence[float],
             rows[qn] = pa.array(qmat[:, j], pa.float64())
         return pa.table(rows)
 
-    return ds.map_batches(_add_bucket_fn(key, n_buckets),
-                          batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_quantiles,
-                                       batch_format="pyarrow")
+    return bucket_groups(ds, key, bucket_quantiles, columns=[key, value])
 
 
 def grouped_top_k(ds, key: str, order_col: str, k: int, *,
-                  descending: bool = True, tiebreak: str | None = None,
-                  n_buckets: int = 0):
+                  descending: bool = True, tiebreak: str | None = None):
     """Per-group top-k (the ``row_number() OVER (PARTITION BY key ORDER BY
     order_col) <= k`` window): keeps each key's k best rows with a 1-based
     ``rk`` rank column appended. Deterministic under ties when ``tiebreak``
@@ -772,14 +698,9 @@ def grouped_top_k(ds, key: str, order_col: str, k: int, *,
     lifts the ADVICE-r3 integer-key restriction). Null keys form their own
     group, matching SQL ``PARTITION BY`` null semantics.
     """
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
-
     def bucket_topk(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
         if group.num_rows == 0:
-            return body.append_column("rk", pa.array([], pa.int64()))
+            return group.append_column("rk", pa.array([], pa.int64()))
         codes = pc.dictionary_encode(group[key].combine_chunks()) \
             .indices.cast(pa.int64())
         kv = codes.fill_null(-1).to_numpy(zero_copy_only=False)
@@ -794,12 +715,10 @@ def grouped_top_k(ds, key: str, order_col: str, k: int, *,
         counts = np.diff(np.append(starts, ks.size))
         rk = np.arange(ks.size) - np.repeat(starts, counts) + 1
         keep = rk <= k
-        out = body.take(pa.array(order[keep], pa.int64()))
+        out = group.take(pa.array(order[keep], pa.int64()))
         return out.append_column("rk", pa.array(rk[keep], pa.int64()))
 
-    return ds.map_batches(_add_bucket_fn(key, n_buckets),
-                          batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_topk, batch_format="pyarrow")
+    return bucket_groups(ds, key, bucket_topk)
 
 
 def sessionize_counts(ds, user_col: str, ts_col: str, order_col: str,
@@ -810,13 +729,7 @@ def sessionize_counts(ds, user_col: str, ts_col: str, order_col: str,
 
     Execution: hash-bucket groupby keeps WHOLE users per bucket (no session
     can straddle buckets), then one vectorized pass per bucket."""
-    ds = ds.select_columns(list(dict.fromkeys([user_col, ts_col,
-                                               order_col])))
-    n_buckets = default_buckets(0)
-    add_bucket = _add_bucket_fn(user_col, n_buckets)
-
     def count_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         srt = group.sort_by([(user_col, "ascending"), (ts_col, "ascending"),
                              (order_col, "ascending")])
         n = srt.num_rows
@@ -842,17 +755,15 @@ def sessionize_counts(ds, user_col: str, ts_col: str, order_col: str,
         return pa.table({user_col: users,
                          "n_sessions": pa.array(counts, pa.int64())})
 
-    out = ds.map_batches(add_bucket, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(count_bucket, batch_format="pyarrow")
+    out = bucket_groups(ds, user_col, count_bucket,
+                        columns=[user_col, ts_col, order_col])
     parts = pa.concat_tables(collect_partials(out, keep_empty=True),
                              promote_options="default")
     return parts.sort_by(user_col)
 
 
 def adjacent_pairs(ds, group_col: str, order_col: str, tag_col: str,
-                   from_tag: str, to_tag: str, payload_col: str,
-                   n_buckets: int = 0):
+                   from_tag: str, to_tag: str, payload_col: str):
     """Adjacent-turn pair extraction — the SFT data-prep step over
     transcripts: per group (conversation), with rows ordered by
     ``order_col``, emit every adjacent row pair whose tags transition
@@ -869,15 +780,7 @@ def adjacent_pairs(ds, group_col: str, order_col: str, tag_col: str,
     the same pairs as the SQL ``LEAD ... ORDER BY`` with the same tiebreak.
     Null-group rows form their own SQL-`PARTITION BY`-style group (null ==
     null); null tags match neither side of the transition."""
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    ds = ds.select_columns(list(dict.fromkeys([group_col, order_col,
-                                               tag_col, payload_col])))
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(group_col, n_buckets)
-
     def pairs_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         srt = group.sort_by([(group_col, "ascending"),
                              (order_col, "ascending"),
                              (tag_col, "ascending"),
@@ -903,13 +806,12 @@ def adjacent_pairs(ds, group_col: str, order_col: str, tag_col: str,
             payload_col + "_to": rhs[payload_col],
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(pairs_bucket, batch_format="pyarrow")
+    return bucket_groups(ds, group_col, pairs_bucket,
+                         columns=[group_col, order_col, tag_col, payload_col])
 
 
 def transition_counts(ds, group_col: str, order_cols: "Sequence[str]",
-                      tag_col: str, n_buckets: int = 0):
+                      tag_col: str):
     """Markov transition counts — the sequence-mining primitive behind
     next-event prediction and journey analysis: within each group, with
     rows ordered by ``order_cols``, count every ADJACENT tag pair
@@ -928,20 +830,15 @@ def transition_counts(ds, group_col: str, order_cols: "Sequence[str]",
     by the tag (the adjacent_pairs determinism rule) — give unique
     order columns when the counts must match a specific SQL ``lead``
     order."""
-    from ..rayutil import default_buckets, ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
     cols = [group_col, *order_cols, tag_col]
-    add_bucket = _add_bucket_fn(group_col, n_buckets)
 
     def project(batch: pa.Table) -> pa.Table:
         sel = batch.select(cols)
         if sel[group_col].null_count:
             sel = sel.filter(pc.is_valid(sel[group_col]))
-        return add_bucket(sel)
+        return sel
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_pairs(body: pa.Table) -> pa.Table:
         srt = body.sort_by([(group_col, "ascending")]
                            + [(c, "ascending") for c in order_cols]
                            + [(tag_col, "ascending")])
@@ -959,10 +856,7 @@ def transition_counts(ds, group_col: str, order_cols: "Sequence[str]",
                          "to_tag": gb["to_tag"],
                          "n": gb["count_all"].cast(pa.int64())})
 
-    return ds.map_batches(project, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_pairs,
-                                       batch_format="pyarrow")
+    return bucket_groups(ds, group_col, bucket_pairs, prepare=project)
 
 
 def _adjacent_pair_idx(same: np.ndarray, lhs_ok: np.ndarray,
@@ -992,8 +886,7 @@ def _same_group_mask(g: pa.Array, n: int) -> np.ndarray:
 
 
 def truncate_context(ds, group_col: str, order_col: str, text_col: str,
-                     budget: int, tag_col: str | None = None,
-                     n_buckets: int = 0):
+                     budget: int, tag_col: str | None = None):
     """Context-window capping — the "fit the conversation into the model's
     context" step of a training pipeline: per group (conversation), with
     rows ordered by ``(order_col, tag_col, text_col)``, keep the longest
@@ -1010,16 +903,11 @@ def truncate_context(ds, group_col: str, order_col: str, text_col: str,
     co-locate), then a vectorized in-bucket pass — one Arrow
     ``count_substring``, one segmented cumsum, one filter. Streaming output
     Dataset; nothing driver-side."""
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(group_col, n_buckets)
     sort_keys = [(group_col, "ascending"), (order_col, "ascending")] \
         + ([(tag_col, "ascending")] if tag_col else []) \
         + [(text_col, "ascending")]
 
     def cap_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         srt = group.sort_by(sort_keys)
         n = srt.num_rows
         g = srt[group_col].combine_chunks() \
@@ -1042,13 +930,11 @@ def truncate_context(ds, group_col: str, order_col: str, text_col: str,
         return out.append_column(
             "cum_tokens", pa.array(cum_in[keep], pa.int64()))
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(cap_bucket, batch_format="pyarrow")
+    return bucket_groups(ds, group_col, cap_bucket)
 
 
 def alternation_stats(ds, group_col: str, order_col: str, tag_col: str,
-                      text_col: str | None = None, n_buckets: int = 0):
+                      text_col: str | None = None):
     """Conversation-quality structure metric: per group, the number of rows
     and the number of adjacent SAME-tag transitions (consecutive same-role
     turns — the classic malformed-transcript smell), plus an
@@ -1058,18 +944,14 @@ def alternation_stats(ds, group_col: str, order_col: str, tag_col: str,
     in the SQL LAG oracle. A null tag equals nothing (not even another
     null), matching SQL ``role = lag(role)`` null semantics.
 
-    One hash-bucket groupby, vectorized shifted-equality + ``reduceat``
-    in-bucket; group-cardinality rows leave each bucket."""
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(group_col, n_buckets)
+    One hash-bucket groupby over the sort columns only, vectorized
+    shifted-equality + ``reduceat`` in-bucket; group-cardinality rows
+    leave each bucket."""
     sort_keys = [(group_col, "ascending"), (order_col, "ascending"),
                  (tag_col, "ascending")] \
         + ([(text_col, "ascending")] if text_col else [])
 
     def stats_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         srt = group.sort_by(sort_keys)
         n = srt.num_rows
         g = srt[group_col].combine_chunks() \
@@ -1100,14 +982,13 @@ def alternation_stats(ds, group_col: str, order_col: str, tag_col: str,
             "alternating": pa.array(reps == 0),
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(stats_bucket, batch_format="pyarrow")
+    return bucket_groups(ds, group_col, stats_bucket,
+                         columns=[c for c, _ in sort_keys])
 
 
 def render_conversations(ds, group_col: str, order_col: str, role_col: str,
                          text_col: str, line_sep: str = "\n",
-                         role_sep: str = ": ", n_buckets: int = 0):
+                         role_sep: str = ": "):
     """Render each conversation into ONE training-sample string — the final
     "materialize SFT samples" step: per group, rows ordered by
     ``(order_col, role_col, text_col)`` become ``role: text`` lines joined
@@ -1119,17 +1000,10 @@ def render_conversations(ds, group_col: str, order_col: str, role_col: str,
     groupby; in-bucket everything is Arrow kernels — one element-wise
     concat, one ``ListArray`` + ``binary_join`` (the `concat_packed`
     machinery), zero per-row Python."""
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    ds = ds.select_columns(list(dict.fromkeys([group_col, order_col,
-                                               role_col, text_col])))
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(group_col, n_buckets)
     sort_keys = [(group_col, "ascending"), (order_col, "ascending"),
                  (role_col, "ascending"), (text_col, "ascending")]
 
     def render_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         srt = group.sort_by(sort_keys)
         n = srt.num_rows
         g = srt[group_col].combine_chunks() \
@@ -1167,13 +1041,11 @@ def render_conversations(ds, group_col: str, order_col: str, role_col: str,
             "rendered": rendered,
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(render_bucket, batch_format="pyarrow")
+    return bucket_groups(ds, group_col, render_bucket,
+                         columns=[group_col, order_col, role_col, text_col])
 
 
-def cooccurrence_pairs(ds, key_col: str, value_col: str,
-                       n_buckets: int = 0) -> pa.Table:
+def cooccurrence_pairs(ds, key_col: str, value_col: str) -> pa.Table:
     """Value co-occurrence ("market basket") counts: for every unordered
     pair of DISTINCT values sharing a key (two event types performed by the
     same user, two tools used in the same conversation), how many keys
@@ -1188,9 +1060,6 @@ def cooccurrence_pairs(ds, key_col: str, value_col: str,
     domain²-scale table. Per-key distinct-value fan-out is assumed
     bucket-memory-bounded (true for enum-like domains; a 10^5-value key
     would emit 10^10 pairs and needs a cap upstream)."""
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(key_col, n_buckets)
-
     def distinct_partial(batch: pa.Table) -> pa.Table:
         sel = batch.select([key_col, value_col])
         ok = pc.and_(pc.is_valid(sel[key_col]), pc.is_valid(sel[value_col]))
@@ -1199,7 +1068,6 @@ def cooccurrence_pairs(ds, key_col: str, value_col: str,
         return g
 
     def pairs_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         # bucket-level distinct (batch partials can repeat a pair)
         group = pa.TableGroupBy(group, [key_col, value_col]).aggregate([])
         srt = group.sort_by([(key_col, "ascending"),
@@ -1249,12 +1117,7 @@ def cooccurrence_pairs(ds, key_col: str, value_col: str,
                          "n_keys": gb["count_all"].cast(pa.int64())})
 
     all_parts = collect_partials(
-        ds.map_batches(distinct_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .map_batches(add_bucket, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .groupby("_bucket").map_groups(pairs_bucket,
-                                       batch_format="pyarrow"),
+        bucket_groups(ds, key_col, pairs_bucket, prepare=distinct_partial),
         keep_empty=True)
     parts = [t for t in all_parts if t.num_rows]
     if not parts:
@@ -1588,8 +1451,8 @@ def grouped_heavy_hitters(ds, group_col: str, item_col: str, k: int = 3,
     }).sort_by([(group_col, "ascending"), ("item", "ascending")])
 
 
-def rolling_distinct(ds, key_col: str, ts_col: str, window_days: int = 7,
-                     n_buckets: int = 0) -> pa.Table:
+def rolling_distinct(ds, key_col: str, ts_col: str,
+                     window_days: int = 7) -> pa.Table:
     """Trailing-window distinct count: for every OBSERVED calendar day,
     how many distinct keys were active in the ``window_days``-day window
     ending that day — the "7-day active users" / corpus-freshness metric.
@@ -1608,9 +1471,6 @@ def rolling_distinct(ds, key_col: str, ts_col: str, window_days: int = 7,
     inside gaps — are dropped exactly like the SQL join against the
     observed-day list. Null keys/timestamps drop.
     """
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(key_col, n_buckets)
-
     def pairs_partial(batch: pa.Table) -> pa.Table:
         sel = batch.select([key_col, ts_col])
         both = pc.and_kleene(pc.is_valid(sel[key_col]),
@@ -1620,10 +1480,9 @@ def rolling_distinct(ds, key_col: str, ts_col: str, window_days: int = 7,
                       "d": pc.cast(pc.floor_temporal(sel[ts_col],
                                                      unit="day"),
                                    pa.date32())})
-        return add_bucket(pa.TableGroupBy(t, [key_col, "d"]).aggregate([]))
+        return pa.TableGroupBy(t, [key_col, "d"]).aggregate([])
 
-    def bucket_counts(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_counts(body: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(body, [key_col, "d"]).aggregate([])
         d32 = g["d"].combine_chunks().cast(pa.int32()) \
             .to_numpy(zero_copy_only=False)
@@ -1655,10 +1514,7 @@ def rolling_distinct(ds, key_col: str, ts_col: str, window_days: int = 7,
         })
 
     parts = collect_partials(
-        ds.map_batches(pairs_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("_bucket").map_groups(bucket_counts,
-                                       batch_format="pyarrow"))
+        bucket_groups(ds, key_col, bucket_counts, prepare=pairs_partial))
     if not parts:
         return pa.table({"day": pa.array([], pa.string()),
                          "n_keys": pa.array([], pa.int64())})
@@ -1678,8 +1534,8 @@ def rolling_distinct(ds, key_col: str, ts_col: str, window_days: int = 7,
     })
 
 
-def interval_coverage(ds, key: str, start_col: str, end_col: str,
-                      n_buckets: int = 0) -> "ray.data.Dataset":  # noqa: F821
+def interval_coverage(ds, key: str, start_col: str,
+                      end_col: str) -> "ray.data.Dataset":  # noqa: F821
     """Per-group interval UNION ("islands and gaps"): merge each group's
     overlapping/touching ``[start, end)`` intervals into maximal islands
     and report the island count and total covered microseconds — active
@@ -1689,21 +1545,13 @@ def interval_coverage(ds, key: str, start_col: str, end_col: str,
 
     Scale shape: three-column scan, ONE hash-bucket shuffle co-locating
     whole groups, then a fully vectorized in-bucket pass: sort by
-    ``(key, start, end)``; the within-group running max of ``end`` uses
-    the per-segment OFFSET trick (add ``seg_id * K`` with ``K`` = the
-    bucket's end-range so segment blocks dominate earlier ones — one
-    ``np.maximum.accumulate``, no Python loop; requires ``n_groups x
-    range < 2^63``, i.e. ~10^5 groups per bucket x ~10^13 us (4 months);
-    a bucket past it raises ``ValueError`` — raise ``n_buckets``). A new
-    island starts where ``start > running_max(end)`` of all earlier rows
+    ``(key, start, end)``; the within-group running max of ``end`` is one
+    :func:`segmented_running_max` (rank-lifted ``np.maximum.accumulate``,
+    exact over the whole int64 range, no Python loop). A new island starts where ``start > running_max(end)`` of all earlier rows
     in the group; island extents then fall out of ``np.maximum.reduceat``
     over island starts.
     Degenerate/null rows drop: SQL-matching ``WHERE key IS NOT NULL AND
     start IS NOT NULL AND end IS NOT NULL AND end > start``."""
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(key, n_buckets)
     cols = [key, start_col, end_col]
 
     def project(batch: pa.Table) -> pa.Table:
@@ -1712,10 +1560,9 @@ def interval_coverage(ds, key: str, start_col: str, end_col: str,
             pc.and_kleene(pc.is_valid(sel[key]),
                           pc.is_valid(sel[start_col])),
             pc.greater(sel[end_col], sel[start_col])).fill_null(False)
-        return add_bucket(sel.filter(ok))
+        return sel.filter(ok)
 
-    def bucket_islands(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_islands(body: pa.Table) -> pa.Table:
         srt = body.sort_by([(key, "ascending"), (start_col, "ascending"),
                             (end_col, "ascending")])
         n = srt.num_rows
@@ -1729,15 +1576,7 @@ def interval_coverage(ds, key: str, start_col: str, end_col: str,
         e = srt[end_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
         seg_start = np.concatenate([[True], ~_same_group_mask(g, n)])
         seg_id = np.cumsum(seg_start) - 1
-        base = e.min()
-        k = int(e.max()) - int(base) + 1
-        if (int(seg_id[-1]) + 1) * k >= 2 ** 63:
-            raise ValueError(
-                f"interval_coverage: {int(seg_id[-1]) + 1} groups x end "
-                f"range {k} in one bucket exceed the int64 offset limit "
-                f"2^63; raise n_buckets (now {n_buckets})")
-        shifted = (e - base) + seg_id * k           # segment blocks dominate
-        run_end = np.maximum.accumulate(shifted) - seg_id * k + base
+        run_end = segmented_running_max(e, seg_id)
         prev_run_end = np.empty_like(run_end)
         prev_run_end[1:] = run_end[:-1]
         new_island = seg_start | (s > prev_run_end)
@@ -1758,14 +1597,11 @@ def interval_coverage(ds, key: str, start_col: str, end_col: str,
             "covered_us": pa.array(covered, pa.int64()),
         })
 
-    return ds.map_batches(project, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_islands,
-                                       batch_format="pyarrow")
+    return bucket_groups(ds, key, bucket_islands, prepare=project)
 
 
 def quantile_threshold_filter(ds_factory, key: str, value: str,
-                              q: float = 0.99, n_buckets: int = 0):
+                              q: float = 0.99):
     """Per-group quantile outlier filter: rows where ``value`` exceeds the
     group's exact q-quantile. Two passes by design — the threshold is a
     global property of each group: pass 1 is `grouped_quantiles` (small
@@ -1782,8 +1618,7 @@ def quantile_threshold_filter(ds_factory, key: str, value: str,
     """
     qname = f"q{int(round(q * 100)):02d}"
     th = pa.concat_tables(collect_partials(grouped_quantiles(
-        ds_factory(), key, value, [q], n_buckets=n_buckets)),
-        promote_options="default")
+        ds_factory(), key, value, [q])), promote_options="default")
     th = th.drop_null()             # null-key pseudo-groups join nothing
     keys = th[key].combine_chunks()
     thresholds = th[qname].to_numpy(zero_copy_only=False)
@@ -1807,7 +1642,7 @@ def quantile_threshold_filter(ds_factory, key: str, value: str,
 
 
 def funnel_steps(ds, user_col: str, ts_col: str, type_col: str,
-                 steps: Sequence[str], n_buckets: int = 0):
+                 steps: Sequence[str]):
     """Ordered funnel / sequence matching with earliest-completion
     semantics: per user, find ``t_1 = min ts of step 1``, then ``t_k =
     min ts of step k strictly after t_{k-1}``; emit users completing every
@@ -1822,11 +1657,8 @@ def funnel_steps(ds, user_col: str, ts_col: str, type_col: str,
     never need a second pass. Per-bucket work is O(rows log rows) with a
     loop over STEPS (constant), never rows. Keys and timestamps must be
     non-null and integer-castable (int64 user ids, epoch-us timestamps).
+    Only the three named columns enter the shuffle.
     """
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(user_col, n_buckets)
     step_names = list(steps)
     out_cols = [f"t_{s}" for s in step_names]
     INF = np.iinfo(np.int64).max
@@ -1862,9 +1694,8 @@ def funnel_steps(ds, user_col: str, ts_col: str, type_col: str,
             cols[c] = pa.array(tk[ok], pa.int64()).cast(pa.timestamp("us"))
         return pa.table(cols)
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(match_bucket, batch_format="pyarrow")
+    return bucket_groups(ds, user_col, match_bucket,
+                         columns=[user_col, ts_col, type_col])
 
 
 def grouped_approx_distinct(ds, key: str, value: str,
@@ -1917,24 +1748,16 @@ def grouped_approx_distinct(ds, key: str, value: str,
     })
 
 
-def grouped_exact_distinct(ds, key: str, value: str,
-                           n_buckets: int = 0):
+def grouped_exact_distinct(ds, key: str, value: str):
     """EXACT per-group distinct count with pre-shuffle dedup: each batch
     first reduces to its distinct ``(key, value)`` pairs (the combiner),
     then ONE hash-bucket groupby on ``key`` co-locates each group's
     surviving pairs and counts distinct values vectorized (sort + adjacent
     compare). Shuffle volume is bounded by the distinct-pair count, not
     the row count."""
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
-
     def pair_partial(batch: pa.Table) -> pa.Table:
-
-        t = batch.select([key, value]).group_by([key, value]) \
+        return batch.select([key, value]).group_by([key, value]) \
             .aggregate([]).drop_null()
-        h = (np_column_hash(t[key]) % np.uint64(n_buckets)).astype(np.int64)
-        return strip_meta(t).append_column("_bucket", pa.array(h, pa.int64()))
 
     def count_bucket(group: pa.Table) -> pa.Table:
         # preserve the INPUT key type (the old unconditional string cast
@@ -1950,14 +1773,12 @@ def grouped_exact_distinct(ds, key: str, value: str,
         return pa.table({key: g[key],
                          "n_distinct": g["count_all"].cast(pa.int64())})
 
-    return ds.map_batches(pair_partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(count_bucket, batch_format="pyarrow")
+    return bucket_groups(ds, key, count_bucket, prepare=pair_partial)
 
 
 def grouped_rolling_window(ds, key: str, ts: str, value_int: str,
-                           window_rows: int = 5, tiebreak: str | None = None,
-                           n_buckets: int = 0):
+                           window_rows: int = 5,
+                           tiebreak: str | None = None):
     """ROWS-frame rolling window per key (SQL ``ROWS BETWEEN n-1 PRECEDING
     AND CURRENT ROW``): appends ``win_sum``/``win_n`` — the exact sum and
     count of the current row and up to ``window_rows - 1`` preceding rows
@@ -1973,16 +1794,11 @@ def grouped_rolling_window(ds, key: str, ts: str, value_int: str,
     lexsort + one global cumsum + two vectorized gathers — no per-row or
     per-group Python. Keys/ts must be non-null and integer-castable.
     """
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(key, n_buckets)
     sort_cols = [ts] + ([tiebreak] if tiebreak else [])
 
     def window_bucket(group: pa.Table) -> pa.Table:
-        base = group.drop_columns(["_bucket"])
         if group.num_rows == 0:
-            return base.append_column(
+            return group.append_column(
                 "win_sum", pa.array([], pa.int64())).append_column(
                 "win_n", pa.array([], pa.int64()))
         keys = group[key].combine_chunks().cast(pa.int64()) \
@@ -1991,7 +1807,7 @@ def grouped_rolling_window(ds, key: str, ts: str, value_int: str,
             pa.int64(), safe=False).to_numpy(zero_copy_only=False)
             for c in sort_cols]
         order = np.lexsort(tuple(reversed(sort_arrays)) + (keys,))
-        sorted_t = base.take(pa.array(order, pa.int64()))
+        sorted_t = group.take(pa.array(order, pa.int64()))
         vals = sorted_t[value_int].combine_chunks().cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
         keys_s = keys[order]
@@ -2005,9 +1821,7 @@ def grouped_rolling_window(ds, key: str, ts: str, value_int: str,
             "win_sum", pa.array(csum[i + 1] - csum[w], pa.int64())) \
             .append_column("win_n", pa.array(i - w + 1, pa.int64()))
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(window_bucket, batch_format="pyarrow")
+    return bucket_groups(ds, key, window_bucket)
 
 
 def grouped_tdigest_quantiles(ds, key: str, value: str,
@@ -2076,8 +1890,7 @@ def unpivot(ds, id_cols: Sequence[str], value_cols: Sequence[str],
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def mad_outlier_filter(ds_factory, key: str, value: str, k: float = 3.0,
-                       n_buckets: int = 0):
+def mad_outlier_filter(ds_factory, key: str, value: str, k: float = 3.0):
     """Robust per-group outlier filter: keep rows where
     ``|value - median| > k * MAD`` (MAD = median absolute deviation, the
     robust sigma). Three passes by necessity — each threshold is a global
@@ -2097,8 +1910,7 @@ def mad_outlier_filter(ds_factory, key: str, value: str, k: float = 3.0,
             t[col].to_numpy(zero_copy_only=False)
 
     med_keys, med_vals = _kv(
-        grouped_quantiles(ds_factory(), key, value, [0.5],
-                          n_buckets=n_buckets), "q50")
+        grouped_quantiles(ds_factory(), key, value, [0.5]), "q50")
 
     def absdev(batch: pa.Table) -> pa.Table:
         pos = pc.index_in(batch[key], value_set=med_keys)
@@ -2119,7 +1931,7 @@ def mad_outlier_filter(ds_factory, key: str, value: str, k: float = 3.0,
     mad_keys, mad_vals = _kv(
         grouped_quantiles(ds_factory().map_batches(
             absdev, batch_format="pyarrow", zero_copy_batch=True),
-            key, "absdev", [0.5], n_buckets=n_buckets), "q50")
+            key, "absdev", [0.5]), "q50")
 
     def keep(batch: pa.Table) -> pa.Table:
         pos_med = pc.index_in(batch[key], value_set=med_keys)
@@ -2247,8 +2059,7 @@ def grouped_zscore_flags(ds_factory, key: str, value: str,
         .sort_by(key)
 
 
-def cohort_retention(ds, user_col: str, ts_col: str,
-                     n_buckets: int = 0) -> pa.Table:
+def cohort_retention(ds, user_col: str, ts_col: str) -> pa.Table:
     """Cohort retention matrix — the activation/retention report every
     product and training-corpus freshness analysis runs: each user's
     cohort is their FIRST active day; the output counts, for every
@@ -2265,8 +2076,6 @@ def cohort_retention(ds, user_col: str, ts_col: str,
     by a tiny driver groupby. Null users/timestamps drop. Days are
     day-truncated timestamps; ``age_days`` is an exact integer (both
     sides are midnight-aligned)."""
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(user_col, n_buckets)
     day_us = 86_400_000_000
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
@@ -2276,11 +2085,9 @@ def cohort_retention(ds, user_col: str, ts_col: str,
         sel = sel.filter(both)
         t = pa.table({user_col: sel[user_col],
                       "d": pc.floor_temporal(sel[ts_col], unit="day")})
-        g = pa.TableGroupBy(t, [user_col, "d"]).aggregate([])
-        return add_bucket(g)
+        return pa.TableGroupBy(t, [user_col, "d"]).aggregate([])
 
-    def bucket_cells(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_cells(body: pa.Table) -> pa.Table:
         srt = body.sort_by([(user_col, "ascending"), ("d", "ascending")])
         n = srt.num_rows
         if n == 0:
@@ -2311,10 +2118,8 @@ def cohort_retention(ds, user_col: str, ts_col: str,
                          "age_days": g["age_days"],
                          "cnt": g["count_all"].cast(pa.int64())})
 
-    out = ds.map_batches(pairs_partial, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_cells, batch_format="pyarrow")
-    plist = collect_partials(out)
+    plist = collect_partials(
+        bucket_groups(ds, user_col, bucket_cells, prepare=pairs_partial))
     if not plist:
         return pa.table({"cohort_day": pa.array([], pa.timestamp("us")),
                          "age_days": pa.array([], pa.int64()),
@@ -2328,8 +2133,8 @@ def cohort_retention(ds, user_col: str, ts_col: str,
         .sort_by([("cohort_day", "ascending"), ("age_days", "ascending")])
 
 
-def interevent_gaps(ds, key: str, ts_col: str, order_col: str,
-                    n_buckets: int = 0) -> "ray.data.Dataset":  # noqa: F821
+def interevent_gaps(ds, key: str, ts_col: str,
+                    order_col: str) -> "ray.data.Dataset":  # noqa: F821
     """Per-group inter-event gap statistics — the burstiness/recency
     profile behind session design and rate-limit tuning: for each group,
     the count, mean and max of the microsecond gaps between CONSECUTIVE
@@ -2343,20 +2148,15 @@ def interevent_gaps(ds, key: str, ts_col: str, order_col: str,
     bucket, so there is no second pass. ``avg_gap_us`` is one IEEE
     division of exact int64 sums, matching SQL bitwise. Null keys or
     timestamps drop; single-event groups (no gap) emit nothing."""
-    from ..rayutil import ensure_worker_importable
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(key, n_buckets)
     cols = [key, ts_col, order_col]
 
     def project(batch: pa.Table) -> pa.Table:
         sel = batch.select(cols)
         both = pc.and_kleene(pc.is_valid(sel[key]),
                              pc.is_valid(sel[ts_col])).fill_null(False)
-        return add_bucket(sel.filter(both))
+        return sel.filter(both)
 
-    def bucket_stats(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_stats(body: pa.Table) -> pa.Table:
         srt = body.sort_by([(key, "ascending"), (ts_col, "ascending"),
                             (order_col, "ascending")])
         n = srt.num_rows
@@ -2386,7 +2186,4 @@ def interevent_gaps(ds, key: str, ts_col: str, order_col: str,
                          "avg_gap_us": pa.array(s / cnt, pa.float64()),
                          "max_gap_us": gb["gap_max"].cast(pa.int64())})
 
-    return ds.map_batches(project, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_stats,
-                                       batch_format="pyarrow")
+    return bucket_groups(ds, key, bucket_stats, prepare=project)

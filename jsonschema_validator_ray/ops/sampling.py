@@ -145,8 +145,7 @@ def weighted_sample(ds, key_column: str, weight_column: str, k: int,
 
 
 def stratified_sample(ds, group_column: str, key_column: str, k: int,
-                      seed: int = 42, n_buckets: int = 0,
-                      k_by_group: dict | None = None):
+                      seed: int = 42, k_by_group: dict | None = None):
     """Per-group deterministic sample — per-source caps / balanced subsets
     in a training-data pipeline: each group keeps its ``k`` rows with the
     smallest Knuth-hashed key (ties by key), so the selection is stable
@@ -168,15 +167,9 @@ def stratified_sample(ds, group_column: str, key_column: str, k: int,
     primitive under :func:`mixture_sample`."""
     import pyarrow.compute as pc
 
-    from ..rayutil import default_buckets
+    from ..rayutil import bucket_groups
 
-    n_buckets = default_buckets(n_buckets)
-
-    from .aggregates import _add_bucket_fn
-    add_bucket = _add_bucket_fn(group_column, n_buckets)
-
-    def bucket_sample(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_sample(body: pa.Table) -> pa.Table:
         vk = pc.is_valid(body[key_column])
         if not pc.all(vk).as_py():
             body = body.filter(vk)
@@ -208,14 +201,11 @@ def stratified_sample(ds, group_column: str, key_column: str, k: int,
         out = body.take(pa.array(keep, pa.int64()))
         return out.append_column("rk", pa.array(rk[sel], pa.int64()))
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(bucket_sample, batch_format="pyarrow")
+    return bucket_groups(ds, group_column, bucket_sample)
 
 
 def mixture_sample(ds_factory, group_column: str, key_column: str,
-                   proportions: dict, total: int, seed: int = 42,
-                   n_buckets: int = 0):
+                   proportions: dict, total: int, seed: int = 42):
     """Dataset-MIXTURE resampling — the "data mixing" step of an LLM
     training pipeline: sample each group (source/language/domain) to hit a
     target proportion of ``total``, capped by availability. Per-group cap =
@@ -248,8 +238,7 @@ def mixture_sample(ds_factory, group_column: str, key_column: str,
     caps = {g: min(avail.get(g, 0), int(np.floor(total * float(p))))
             for g, p in proportions.items()}
     return stratified_sample(ds_factory(), group_column, key_column,
-                             k=0, seed=seed, n_buckets=n_buckets,
-                             k_by_group=caps)
+                             k=0, seed=seed, k_by_group=caps)
 
 
 def split_thresholds(splits) -> list[tuple[str, int]]:

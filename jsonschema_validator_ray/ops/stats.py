@@ -26,7 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import block_refs, collect_partials, fold_partials, strip_meta
+from ..rayutil import block_refs, bucket_groups, collect_partials, \
+    fold_partials, strip_meta
 
 
 def _fold_partial(value_col: str, side_col: str):
@@ -725,8 +726,7 @@ def grouped_minmax_scale(ds_factory, key: str, value: str):
 
 
 def grouped_winsorize(ds_factory, key: str, value: str,
-                      lo_q: float = 0.05, hi_q: float = 0.95,
-                      n_buckets: int = 0):
+                      lo_q: float = 0.05, hi_q: float = 0.95):
     """Per-group winsorization — clip ``value`` into its group's
     ``[quantile(lo_q), quantile(hi_q)]`` band, the robust outlier-taming
     pass run before scaling or model fitting. Thresholds are DISCRETE
@@ -742,22 +742,17 @@ def grouped_winsorize(ds_factory, key: str, value: str,
     key-domain-sized (key, lo, hi) table broadcasts via closure capture
     into one vectorized clip over the stream. Null keys/values drop.
     Streams the input schema plus a ``clipped`` float64 column."""
-    from ..rayutil import default_buckets, ensure_worker_importable
-    ensure_worker_importable()
     if not (0.0 <= lo_q <= hi_q <= 1.0):
         raise ValueError("need 0 <= lo_q <= hi_q <= 1")
-    from .aggregates import _add_bucket_fn, run_starts
-    n_buckets = default_buckets(n_buckets)
-    add_bucket = _add_bucket_fn(key, n_buckets)
+    from .aggregates import run_starts
 
     def project(batch: pa.Table) -> pa.Table:
         sel = batch.select([key, value])
         both = pc.and_kleene(pc.is_valid(sel[key]),
                              pc.is_valid(sel[value])).fill_null(False)
-        return add_bucket(sel.filter(both))
+        return sel.filter(both)
 
-    def bucket_thresholds(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def bucket_thresholds(body: pa.Table) -> pa.Table:
         if body.num_rows == 0:
             return pa.table({key: pa.array([], body.schema.field(key).type),
                              "lo": pa.array([], pa.float64()),
@@ -775,10 +770,7 @@ def grouped_winsorize(ds_factory, key: str, value: str,
                          "hi": pa.array(v[hi_i], pa.float64())})
 
     thr = pa.concat_tables(collect_partials(
-        ds_factory().map_batches(project, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(bucket_thresholds, batch_format="pyarrow"),
+        bucket_groups(ds_factory(), key, bucket_thresholds, prepare=project),
         keep_empty=True), promote_options="default")
     thr_keys = thr[key].combine_chunks()
     thr_lo = thr["lo"].to_numpy(zero_copy_only=False)

@@ -11,8 +11,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import collect_partials, fold_partials, strip_meta
-from ..stages.groupcheck import np_column_hash, run_starts
+from ..rayutil import bucket_groups, collect_partials, fold_partials, \
+    strip_meta
+from ..stages.groupcheck import run_starts
 
 # minimal public stopword lists (top function words per language)
 _STOPWORDS = {
@@ -455,7 +456,7 @@ def redact_pattern(ds, column: str, pattern: str = r"[0-9]+",
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def vocab_entropy(ds, key: str, column: str = "text", n_buckets: int = 0):
+def vocab_entropy(ds, key: str, column: str = "text"):
     """Per-group Shannon entropy (bits) of the space-token vocabulary
     distribution — the corpus-diversity statistic a training-data pipeline
     uses to spot template-generated or low-diversity slices.
@@ -470,13 +471,7 @@ def vocab_entropy(ds, key: str, column: str = "text", n_buckets: int = 0):
 
     Returns columns ``(key, entropy, n_words)``.
     """
-    from ..rayutil import default_buckets, ensure_worker_importable, \
-        strip_meta
-    ensure_worker_importable()
-    n_buckets = default_buckets(n_buckets)
-
     def partial(batch: pa.Table) -> pa.Table:
-
         sel = batch.select([key, column])
         mask = pc.and_kleene(pc.is_valid(sel[key]),
                              pc.is_valid(sel[column])).fill_null(False)
@@ -491,15 +486,10 @@ def vocab_entropy(ds, key: str, column: str = "text", n_buckets: int = 0):
             np.repeat(np.arange(len(lens), dtype=np.int64), lens)))
         t = pa.table({key: rep, "w": pc.list_flatten(words)})
         g = pa.TableGroupBy(t, [key, "w"]).aggregate([([], "count_all")])
-        out = pa.table({key: g[key], "w": g["w"],
-                        "c": g["count_all"].cast(pa.int64())})
-        h = (np_column_hash(out[key]) % np.uint64(n_buckets)) \
-            .astype(np.int64)
-        return strip_meta(out).append_column("_bucket",
-                                             pa.array(h, pa.int64()))
+        return pa.table({key: g[key], "w": g["w"],
+                         "c": g["count_all"].cast(pa.int64())})
 
-    def final(group: pa.Table) -> pa.Table:
-        body = group.drop_columns(["_bucket"])
+    def final(body: pa.Table) -> pa.Table:
         if body.num_rows == 0:
             return pa.table({key: body[key],
                              "entropy": pa.array([], pa.float64()),
@@ -521,9 +511,7 @@ def vocab_entropy(ds, key: str, column: str = "text", n_buckets: int = 0):
                          "n_words": pa.array(tot.astype(np.int64),
                                              pa.int64())})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(final, batch_format="pyarrow")
+    return bucket_groups(ds, key, final, prepare=partial)
 
 
 def pattern_census(ds, key: str, column: str,

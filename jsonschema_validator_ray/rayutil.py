@@ -17,6 +17,8 @@ instead.
 block refs; :func:`collect_partials` (and :func:`fold_partials` on top of it)
 fetches those blocks. Every operator collects through them, so the
 materialize-first rule and the worker-import probe live here only.
+:func:`bucket_groups` is likewise the one keyed hash-bucket shuffle of the
+grouped operators.
 """
 
 from __future__ import annotations
@@ -141,6 +143,48 @@ def default_buckets(n_buckets: int = 0) -> int:
     if n_buckets > 0:
         return n_buckets
     return 4 * avail_cpus()
+
+
+def bucket_tagger(key: str, n_buckets: int, prepare=None):
+    """The map side of :func:`bucket_groups`: a batch function that runs
+    ``prepare`` (optional per-batch filter or pre-aggregation), strips the
+    schema metadata (:func:`strip_meta`) and appends ``_bucket`` =
+    ``np_column_hash(key) % n_buckets``."""
+    import numpy as np
+    import pyarrow as pa
+
+    from .stages.groupcheck import np_column_hash
+
+    n = np.uint64(n_buckets)
+
+    def tag(batch):
+        t = strip_meta(batch if prepare is None else prepare(batch))
+        h = (np_column_hash(t[key]) % n).astype(np.int64)
+        return t.append_column("_bucket", pa.array(h, pa.int64()))
+    return tag
+
+
+def bucket_groups(ds, key: str, per_bucket, *, prepare=None, columns=None):
+    """The keyed hash-bucket shuffle of every single-input grouped
+    operator: project to ``columns`` (when given), tag each batch with
+    :func:`bucket_tagger` in ONE ``map_batches`` (``prepare`` runs there,
+    before the hash), then one ``groupby`` on ``_bucket`` + ``map_groups``
+    — every key's rows meet in one bucket, which reaches ``per_bucket``
+    with the ``_bucket`` column already dropped. The bucket count is
+    :func:`default_buckets`; results never depend on it."""
+    import functools
+
+    ensure_worker_importable()
+    if columns is not None:
+        ds = ds.select_columns(list(dict.fromkeys(columns)))
+
+    @functools.wraps(per_bucket)     # Ray names the operator after the op
+    def untagged(group):
+        return per_bucket(group.drop_columns(["_bucket"]))
+
+    return ds.map_batches(bucket_tagger(key, default_buckets(), prepare),
+                          batch_format="pyarrow", zero_copy_batch=True) \
+        .groupby("_bucket").map_groups(untagged, batch_format="pyarrow")
 
 
 def block_refs(ds):

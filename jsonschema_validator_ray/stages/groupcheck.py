@@ -29,7 +29,7 @@ Check semantics (FIXTURES.md §B), per conversation ordered by
   physical row order.
 
 Also home to the shared hash/run primitives of the ops' hash-bucket
-groupbys (``np_column_hash``, ``run_starts``).
+groupbys (``np_column_hash``, ``run_starts``, ``segmented_running_max``).
 """
 
 from __future__ import annotations
@@ -266,12 +266,7 @@ def split_overlapping_runs(records: pa.Table) -> tuple[pa.Table, pa.Array]:
     n = len(first)
     new_conv = np.concatenate([[True], ~_adjacent_equal(conv)])
     seg = np.cumsum(new_conv) - 1
-    # running max of last_tid within each conversation: rank-compress the
-    # values and lift every conversation above the ones before it, so one
-    # maximum.accumulate never carries across conversations
-    values, rank = np.unique(last, return_inverse=True)
-    lift = seg * values.size
-    run_max = values[np.maximum.accumulate(lift + rank) - lift]
+    run_max = segmented_running_max(last, seg)
     hit = np.zeros(n, bool)
     hit[1:] = ~new_conv[1:] & (first[1:] <= run_max[:-1])
     starts = np.flatnonzero(new_conv)
@@ -396,6 +391,18 @@ def np_column_hash(col) -> np.ndarray:
         return pl.from_arrow(col).hash(seed=42).to_numpy().astype(np.uint64)
 
 
+def segmented_running_max(v: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Running maximum of ``v`` that restarts at every segment (``seg``:
+    non-decreasing 0-based segment ids, one per element). Rank-compresses
+    the values and lifts every segment above the ones before it (``seg *
+    n_values``), so one ``np.maximum.accumulate`` never carries across
+    segments. Exact for any values: only ranks are offset, never the
+    values themselves."""
+    values, rank = np.unique(v, return_inverse=True)
+    lift = seg.astype(np.int64) * values.size
+    return values[np.maximum.accumulate(lift + rank.reshape(-1)) - lift]
+
+
 def run_starts(sorted_key) -> np.ndarray:
     """Boolean mask marking the first row of each equal-key run in a
     SORTED Arrow array — the shared run-detection primitive behind the
@@ -423,6 +430,7 @@ __all__ = [
     "split_overlapping_runs",
     "np_column_hash",
     "run_starts",
+    "segmented_running_max",
     "RUN_BOUNDARY_SCHEMA",
     "RUNS_COUNTED",
     "CHECK_OUT_SCHEMA",

@@ -1,7 +1,8 @@
 """The fused row-local stage: validate + sketch + batch-local group check.
 
 ONE pass over the 100 TB input: each Arrow batch produces (a) its row
-violation rows, (b) one serialized partial-sketch row and (c), when the IR
+violation rows, (b) one count row (its row and row-violation counts, in
+either mode), (c) one serialized partial-sketch row and (d), when the IR
 has a group check, the batch's own uniqueness/monotonicity check: its
 group-check rows sorted locally and checked by ``local_group_check``, giving
 batch-local group violations and one run record per conversation. All of
@@ -29,7 +30,8 @@ from .groupcheck import (RUN_BOUNDARY_SCHEMA, RUNS_COUNTED,
                          local_group_check)
 
 COMBINED_SCHEMA = pa.schema([
-    # "violation" (row kernels) | "sketch" | "verdict" |
+    # "violation" (row kernels) | "sketch" |
+    # "count" (the batch's n_rows and n_violations) |
     # "group" (batch-local group-check violation) |
     # "run" (run record; n_rows = the run's row count)
     ("kind", pa.string()),
@@ -73,34 +75,32 @@ class RowValidateAndSketch:
         self.validate = make_row_validator(ir, mode)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        parts = []
         out = self.validate(batch)
         if self.mode == "enumerate":
-            if out.num_rows:
-                parts.append(_rows("violation", out.num_rows, out))
+            parts = [_rows("violation", out.num_rows, out)]
+            n_violations = out.num_rows
         else:
-            parts.append(_rows("verdict", 1, {
-                "constraint_id": out["first_constraint_id"],
-                "n_rows": out["n_rows"],
-                "n_violations": out["n_violations"]}))
+            parts = []
+            n_violations = out["n_violations"][0].as_py()
+        parts.append(_rows("count", 1, {
+            "n_rows": pa.array([batch.num_rows], pa.int64()),
+            "n_violations": pa.array([n_violations], pa.int64())}))
         if self.sketch:
             s = SketchState()
             s.update_batch(batch)
             parts.append(_rows("sketch", 1, {
-                "n_rows": pa.array([batch.num_rows], pa.int64()),
                 "payload": pa.array([s.to_bytes()], pa.binary())}))
         if self.ir.group_check is not None:
             group, runs = local_group_check(batch, self.ir.group_check)
             parts.append(_rows("group", group.num_rows, group))
             parts.append(_rows("run", runs.num_rows, runs))
-        if not parts:
-            return COMBINED_SCHEMA.empty_table()
         return pa.concat_tables(parts)
 
 
 def split_combined(combined: pa.Table):
     """Driver-side split of the (small) combined output: row violation rows,
-    merged SketchState, and row/violation counters."""
+    merged SketchState, and the row/violation counters summed over every
+    batch's count row."""
     violations = select_kind(combined, "violation", VIOLATION_SCHEMA)
 
     sk = combined.filter(pc.equal(combined["kind"], "sketch"))
@@ -108,12 +108,11 @@ def split_combined(combined: pa.Table):
     for payload in sk["payload"].to_pylist():
         state.merge(SketchState.from_bytes(payload))
 
-    verd = combined.filter(pc.equal(combined["kind"], "verdict"))
-    n_rows = sum(x or 0 for x in verd["n_rows"].to_pylist()) or state.n_rows
-    n_row_violations = sum(x or 0 for x in verd["n_violations"].to_pylist()) \
-        or violations.num_rows
-    return violations, state, {"n_rows": int(n_rows),
-                               "n_row_violations": int(n_row_violations)}
+    counts = combined.filter(pc.equal(combined["kind"], "count"))
+    return violations, state, {
+        c: int(pc.sum(counts[f]).as_py() or 0)
+        for c, f in (("n_rows", "n_rows"),
+                     ("n_row_violations", "n_violations"))}
 
 
 def split_group_check(combined: pa.Table) -> tuple[pa.Table, pa.Table]:

@@ -35,6 +35,15 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def one_bucket(monkeypatch):
+    """Every keyed hash-bucket shuffle (``rayutil.bucket_groups``) uses ONE
+    bucket, so all groups meet in the same in-bucket pass."""
+    from jsonschema_validator_ray import rayutil
+
+    monkeypatch.setattr(rayutil, "default_buckets", lambda n_buckets=0: 1)
+
+
 @pytest.fixture(scope="session")
 def sf_dir():
     return os.environ.get("GRAFT_TEST_SF_DIR", "/root/testdata/sf0.001")

@@ -126,10 +126,12 @@ def test_interval_coverage_islands(ray_session):
     assert got == {1: (2, 40), 2: (1, 100)}
 
 
-def test_interval_coverage_offset_overflow_raises(ray_session):
-    """The segment-offset trick needs groups x end range < 2^63 per
-    bucket; past it the op raises a ValueError naming the limit and
-    n_buckets instead of silently wrapping int64."""
+def test_interval_coverage_exact_over_full_int64_range(ray_session,
+                                                      one_bucket):
+    """Groups whose end values span the whole int64 range share one bucket
+    and still get their exact islands: the running max of ``end`` is
+    rank-lifted per group, so no groups x range offset can wrap (the
+    segment-offset version refused 3 such groups with a ValueError)."""
     import ray.data
 
     from jsonschema_validator_ray.ops.aggregates import interval_coverage
@@ -139,14 +141,29 @@ def test_interval_coverage_offset_overflow_raises(ray_session):
                       "s": pa.array([0] * n_groups, pa.int64()),
                       "e": pa.array([10] + [2 ** 62] * (n_groups - 1),
                                     pa.int64())})
-        out = interval_coverage(ray.data.from_arrow(t), "k", "s", "e",
-                                n_buckets=1)
+        out = interval_coverage(ray.data.from_arrow(t), "k", "s", "e")
         return {r["k"]: (r["n_islands"], r["covered_us"])
                 for r in out.take_all()}
 
     assert run(2) == {0: (1, 10), 1: (1, 2 ** 62)}
-    with pytest.raises(ValueError, match=r"2\^63.*n_buckets \(now 1\)"):
-        run(3)
+    assert run(3) == {0: (1, 10), 1: (1, 2 ** 62), 2: (1, 2 ** 62)}
+    assert run(5) == {0: (1, 10)} | {k: (1, 2 ** 62) for k in range(1, 5)}
+
+    # islands and gaps at both ends of int64 in every group: a later
+    # group's small ends must not inherit an earlier group's huge ones
+    big = 2 ** 63 - 1
+    rows = []
+    for k in range(4):
+        rows += [(k, -big, -big + 5), (k, -big + 3, -big + 9),
+                 (k, 100, 200), (k, big - 50, big - 10), (k, big - 20, big)]
+    t = pa.table({"k": pa.array([r[0] for r in rows], pa.int64()),
+                  "s": pa.array([r[1] for r in rows], pa.int64()),
+                  "e": pa.array([r[2] for r in rows], pa.int64())})
+    out = interval_coverage(ray.data.from_arrow(t).repartition(3),
+                            "k", "s", "e")
+    got = {r["k"]: (r["n_islands"], r["covered_us"])
+           for r in out.take_all()}
+    assert got == {k: (3, 9 + 100 + 50) for k in range(4)}
 
 
 def test_cms_upper_bound_and_merge_under_collisions():

@@ -71,7 +71,7 @@ def test_cohort_retention_planted(ray_session):
         "ts": pa.array(us, pa.timestamp("us")),
     })
     out = cohort_retention(ray.data.from_arrow(t).repartition(3),
-                           "u", "ts", n_buckets=4)
+                           "u", "ts")
     got = {(r["cohort_day"].timestamp() * 1e6 // day, r["age_days"]):
            r["n_users"] for r in out.to_pylist()}
     assert got == {(0, 0): 2, (0, 1): 1, (0, 2): 1, (1, 0): 1}
@@ -90,7 +90,7 @@ def test_interevent_gaps_planted(ray_session):
         "id": pa.array([1, 2, 3, 4, 6, 5], pa.int64()),
     })
     out = interevent_gaps(ray.data.from_arrow(t).repartition(2),
-                          "u", "ts", "id", n_buckets=4)
+                          "u", "ts", "id")
     rows = {r["u"]: r for r in out.take_all()}
     # user 1: sorted ts 100,200,400 -> gaps 100, 200
     assert rows[1]["n_gaps"] == 2
@@ -102,7 +102,7 @@ def test_interevent_gaps_planted(ray_session):
     assert rows[3]["n_gaps"] == 1 and rows[3]["max_gap_us"] == 0
 
 
-def test_interevent_gaps_many_keys_one_bucket(ray_session):
+def test_interevent_gaps_many_keys_one_bucket(ray_session, one_bucket):
     """Groups forced into one bucket stay independent (the same-group
     adjacency mask): every user's gap is exactly its own spacing."""
     import ray.data
@@ -116,8 +116,7 @@ def test_interevent_gaps_many_keys_one_bucket(ray_session):
     t = pa.table({"u": pa.array(uid),
                   "ts": pa.array(ts, pa.timestamp("us")),
                   "id": pa.array(np.arange(2 * n, dtype=np.int64))})
-    out = interevent_gaps(ray.data.from_arrow(t), "u", "ts", "id",
-                          n_buckets=1)
+    out = interevent_gaps(ray.data.from_arrow(t), "u", "ts", "id")
     for r in out.take_all():
         assert r["max_gap_us"] == r["u"] + 1
 

@@ -65,13 +65,13 @@ def test_winsorize_planted(ray_session):
     })
     out = grouped_winsorize(
         lambda: ray.data.from_arrow(t).repartition(3), "k", "v",
-        0.25, 0.75, n_buckets=2)
+        0.25, 0.75)
     got = {r["id"]: r["clipped"] for r in out.take_all()}
     assert got == {0: 3.0, 1: 3.0, 2: 3.0, 3: 4.0, 4: 5.0,
                    5: 6.0, 6: 7.0, 7: 8.0, 8: 8.0, 9: 8.0}
 
 
-def test_winsorize_null_and_group_isolation(ray_session):
+def test_winsorize_null_and_group_isolation(ray_session, one_bucket):
     """Null keys/values drop; each group clips at its own thresholds even
     when forced into one bucket."""
     import ray.data
@@ -92,7 +92,7 @@ def test_winsorize_null_and_group_isolation(ray_session):
                   "id": pa.array(ids, pa.int64()),
                   "v": pa.array(vs, pa.float64())})
     out = grouped_winsorize(lambda: ray.data.from_arrow(t), "k", "v",
-                            0.2, 0.8, n_buckets=1)
+                            0.2, 0.8)
     rows = {r["id"]: r["clipped"] for r in out.take_all()}
     assert 900 not in rows and 901 not in rows
     # per group of 5: lo idx ceil(1)-1=0 -> +0, hi idx ceil(4)-1=3 -> +3

@@ -142,7 +142,7 @@ def test_grouped_string_agg_cap_order_nulls(ray_session):
         "v": pa.array(["c", "a", "b", "solo", "ghost", None]),
     })
     out = grouped_string_agg(ray.data.from_arrow(t).repartition(3),
-                             "k", "v", ["o"], sep=">", cap=2, n_buckets=4)
+                             "k", "v", ["o"], sep=">", cap=2)
     got = sorted((r["k"], r["path"], r["n_events"])
                  for r in out.take_all())
     assert got == [(1, "a>b", 3), (2, "solo", 1)]

@@ -739,8 +739,7 @@ def test_shuffle_feeders_strip_unhashable_metadata():
     shuffle key must emit metadata-free (hence hashable) schemas."""
     import pytest as _pytest
 
-    from jsonschema_validator_ray.ops.aggregates import _add_bucket_fn
-    from jsonschema_validator_ray.rayutil import strip_meta
+    from jsonschema_validator_ray.rayutil import bucket_tagger, strip_meta
 
     tbl = pa.table({
         "conv_id": pa.array([1, 2, 3], pa.int64()),
@@ -749,7 +748,7 @@ def test_shuffle_feeders_strip_unhashable_metadata():
     with _pytest.raises(TypeError):
         hash(tbl.schema)                      # the root cause, pinned
 
-    out = _add_bucket_fn("conv_id", 8)(tbl)
+    out = bucket_tagger("conv_id", 8)(tbl)
     assert out.schema.metadata is None
     hash(out.schema)                          # hashable again
     # no-op (and no copy) on already-clean tables

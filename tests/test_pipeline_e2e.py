@@ -188,6 +188,18 @@ def test_fused_reports_row_violation_count(ray_session, corpus):
     assert res.metrics["n_row_violations"] == expected
 
 
+@pytest.mark.parametrize("mode", ["enumerate", "verdict"])
+@pytest.mark.parametrize("sketch", [True, False])
+def test_row_count_reported_in_every_mode(ray_session, corpus, mode, sketch):
+    """metrics["n_rows"] is the input row count whatever the mode and
+    sketch setting: every row-stage batch reports its own count."""
+    gen, spec = corpus
+    n_input = sum(pq.read_metadata(f).num_rows for f in gen.files)
+    res = validate(gen.out_dir, spec=spec, mode=mode, sketch=sketch,
+                   batch_size=1000)
+    assert res.metrics["n_rows"] == n_input
+
+
 def test_verdict_mode_fail_fast(ray_session, corpus):
     gen, spec = corpus
     res = validate(gen.out_dir, spec=spec, mode="verdict", sketch=False)

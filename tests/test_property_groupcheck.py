@@ -24,6 +24,7 @@ from jsonschema_validator_ray.stages.groupcheck import (
     local_group_check,
     merge_run_boundaries,
     resolve_runs,
+    segmented_running_max,
     split_overlapping_runs,
 )
 
@@ -221,6 +222,18 @@ def test_split_overlapping_runs_matches_loop(spans):
                       mergeable["first_tid"].to_pylist(),
                       mergeable["last_tid"].to_pylist())) \
         == sorted(r for r in records if r[0] not in want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                         max_size=6), min_size=0, max_size=6))
+def test_segmented_running_max_matches_loop(segments):
+    """The rank-lifted running max equals a per-segment accumulate over
+    the whole int64 range (no offset on the values can wrap)."""
+    v = np.array([x for seg in segments for x in seg], np.int64)
+    seg = np.repeat(np.arange(len(segments)), [len(s) for s in segments])
+    want = [m for s in segments for m in np.maximum.accumulate(s)]
+    assert segmented_running_max(v, seg).tolist() == want
 
 
 def test_runs_sharing_a_duplicated_turn_are_rechecked():

@@ -230,13 +230,14 @@ def test_to_arrow_refs_only_in_rayutil():
 
 
 def test_transcript_ops_ignore_wide_unused_column(ray_session):
-    """sessionize_counts, adjacent_pairs and render_conversations project
-    the columns they read before their shuffle: an extra wide column they
-    never read leaves their output unchanged."""
+    """The grouped ops whose output holds only columns they name project
+    those columns before their shuffle: an extra wide column they never
+    read leaves their output unchanged."""
     import ray.data
 
     from jsonschema_validator_ray.ops.aggregates import (
-        adjacent_pairs, render_conversations, sessionize_counts)
+        adjacent_pairs, alternation_stats, funnel_steps, grouped_percent_rank,
+        grouped_quantiles, render_conversations, sessionize_counts)
 
     base = np.datetime64("2024-01-01T00:00:00", "us")
     n = 60
@@ -248,26 +249,70 @@ def test_transcript_ops_ignore_wide_unused_column(ray_session):
         "role": pa.array(["user" if i % 2 == 0 else "assistant"
                           for i in range(n)], pa.string()),
         "text": pa.array([f"t{i}" for i in range(n)], pa.string()),
+        "id": pa.array(range(n), pa.int64()),
     })
     wide = t.append_column("blob", pa.array(["x" * 20_000] * n))
 
+    def collected(ds, *order):
+        return pa.concat_tables(collect_partials(ds)).sort_by(
+            [(c, "ascending") for c in order])
+
     def run(tbl):
         ds = ray.data.from_arrow(tbl).repartition(3)
-        sess = sessionize_counts(ds, "conv_id", "ts", "turn_idx")
-        pairs = pa.concat_tables(collect_partials(adjacent_pairs(
-            ds, "conv_id", "turn_idx", "role", "user", "assistant",
-            "text"))).sort_by([("conv_id", "ascending"),
-                               ("turn_idx_from", "ascending")])
-        rendered = pa.concat_tables(collect_partials(render_conversations(
-            ds, "conv_id", "turn_idx", "role", "text"))).sort_by("conv_id")
-        return sess, pairs, rendered
+        return [
+            sessionize_counts(ds, "conv_id", "ts", "turn_idx"),
+            collected(adjacent_pairs(
+                ds, "conv_id", "turn_idx", "role", "user", "assistant",
+                "text"), "conv_id", "turn_idx_from"),
+            collected(render_conversations(
+                ds, "conv_id", "turn_idx", "role", "text"), "conv_id"),
+            collected(alternation_stats(
+                ds, "conv_id", "turn_idx", "role", "text"), "conv_id"),
+            collected(funnel_steps(
+                ds, "conv_id", "ts", "role", ["user", "assistant"]),
+                "conv_id"),
+            collected(grouped_percent_rank(ds, "conv_id", "turn_idx", "id"),
+                      "id"),
+            collected(grouped_quantiles(ds, "conv_id", "turn_idx", [0.5]),
+                      "conv_id"),
+        ]
 
     got, want = run(wide), run(t)
     for g, w in zip(got, want):
         assert "blob" not in g.column_names
         assert g.equals(w)
-    assert got[0]["n_sessions"].to_pylist() == [6] * 10
-    assert got[1].num_rows == 30 and got[2].num_rows == 10
+    sess, pairs, rendered, alt, funnel, prk, quant = got
+    assert sess["n_sessions"].to_pylist() == [6] * 10
+    assert pairs.num_rows == 30 and rendered.num_rows == 10
+    assert alt["alternating"].to_pylist() == [True] * 10
+    assert funnel.num_rows == 10
+    assert prk["prk"].to_pylist() == [i / 5 for i in range(6)] * 10
+    assert quant["q50"].to_pylist() == [2.5] * 10
+
+
+def test_bucket_shuffle_only_in_rayutil():
+    """rayutil.bucket_groups is the one keyed hash-bucket shuffle of the
+    grouped ops: no module re-tags batches or groups on ``_bucket`` by
+    hand, and no grouped op takes a bucket count."""
+    import inspect
+    import pathlib
+    import re
+
+    from jsonschema_validator_ray.ops import aggregates, sampling, stats, text
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent \
+        / "jsonschema_validator_ray"
+    assert (pkg / "rayutil.py").read_text().count('groupby("_bucket")') == 1
+    for mod in (aggregates, sampling, stats, text):
+        src = pathlib.Path(mod.__file__).read_text()
+        for banned in ('groupby("_bucket")', "% np.uint64(n_buckets)",
+                       '"_bucket"', "np_column_hash"):
+            assert banned not in src, (mod.__name__, banned)
+        assert not re.search(r"\bn_buckets\b", src), mod.__name__
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            if fn.__module__ == mod.__name__:
+                assert "n_buckets" not in inspect.signature(fn).parameters, \
+                    name
 
 
 _NO_PYTHONPATH_SCRIPT = """

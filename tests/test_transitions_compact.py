@@ -20,7 +20,7 @@ def test_transition_counts_planted(ray_session):
         "tag": pa.array(["a", "b", None, "a", "a", "a", "z"]),
     })
     out = transition_counts(ray.data.from_arrow(t).repartition(3),
-                            "g", ["o"], "tag", n_buckets=4)
+                            "g", ["o"], "tag")
     folded: dict = {}
     for r in out.take_all():
         k = (r["from_tag"], r["to_tag"])

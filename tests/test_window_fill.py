@@ -20,7 +20,7 @@ def test_grouped_locf_planted(ray_session):
                       pa.float64()),
     })
     out = grouped_locf(ray.data.from_arrow(t).repartition(3),
-                       "k", ["o"], "v", n_buckets=4)
+                       "k", ["o"], "v")
     got = sorted(((r["k"], r["o"], r["filled"]) for r in out.take_all()),
                  key=lambda x: (x[0], x[1]))
     assert got == [
@@ -28,7 +28,8 @@ def test_grouped_locf_planted(ray_session):
         (2, 1, None), (2, 2, 5.0)]
 
 
-def test_grouped_locf_no_cross_key_leak_same_bucket(ray_session):
+def test_grouped_locf_no_cross_key_leak_same_bucket(ray_session,
+                                                    one_bucket):
     """Keys hashing to the SAME bucket must not leak fills into each
     other even when one key's rows all precede the other's in the sorted
     bucket (the group_floor clamp)."""
@@ -44,8 +45,7 @@ def test_grouped_locf_no_cross_key_leak_same_bucket(ray_session):
         "v": pa.array([float(i // 2) if i % 2 == 0 else None
                        for i in range(2 * n)], pa.float64()),
     })
-    out = grouped_locf(ray.data.from_arrow(t), "k", ["o"], "v",
-                       n_buckets=1)
+    out = grouped_locf(ray.data.from_arrow(t), "k", ["o"], "v")
     for r in out.take_all():
         assert r["filled"] == float(r["k"])
 
@@ -64,6 +64,6 @@ def test_windowed_first_composite_and_null_keys(ray_session):
         "id": pa.array([0, 1, 2, 3, 4, 5, 6], pa.int64()),
     })
     out = windowed_first(ray.data.from_arrow(t).repartition(3),
-                         ["k1", "k2"], ["o", "id"], n_buckets=4)
+                         ["k1", "k2"], ["o", "id"])
     got = sorted((r["k1"], r["k2"], r["id"]) for r in out.take_all())
     assert got == [(1, 10, 1), (1, 11, 3), (2, 10, 4)]
