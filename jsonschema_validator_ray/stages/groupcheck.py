@@ -400,7 +400,7 @@ def segmented_running_max(v: np.ndarray, seg: np.ndarray) -> np.ndarray:
     values themselves."""
     values, rank = np.unique(v, return_inverse=True)
     lift = seg.astype(np.int64) * values.size
-    return values[np.maximum.accumulate(lift + rank.reshape(-1)) - lift]
+    return values[np.maximum.accumulate(lift + rank) - lift]
 
 
 def run_starts(sorted_key) -> np.ndarray:

@@ -110,9 +110,8 @@ def split_combined(combined: pa.Table):
 
     counts = combined.filter(pc.equal(combined["kind"], "count"))
     return violations, state, {
-        c: int(pc.sum(counts[f]).as_py() or 0)
-        for c, f in (("n_rows", "n_rows"),
-                     ("n_row_violations", "n_violations"))}
+        "n_rows": int(pc.sum(counts["n_rows"]).as_py() or 0),
+        "n_row_violations": int(pc.sum(counts["n_violations"]).as_py() or 0)}
 
 
 def split_group_check(combined: pa.Table) -> tuple[pa.Table, pa.Table]:

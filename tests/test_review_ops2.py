@@ -324,6 +324,11 @@ import ray.data
 
 ray.init(address="local", num_cpus=1, include_dashboard=False,
          logging_level="ERROR")
+# first: no other op has probed worker importability yet
+from jsonschema_validator_ray.ops.sampling import stratified_sample
+
+strat = stratified_sample(ray.data.from_arrow(pa.table(
+    {"g": ["a", "a", "b"], "k": [1, 2, 3]})), "g", "k", k=1).take_all()
 from jsonschema_validator_ray.ops.dedup import minhash_near_duplicates
 from jsonschema_validator_ray.ops.stats import global_quantiles
 
@@ -333,14 +338,15 @@ text = "the quick brown fox jumps over the lazy dog again and again"
 docs = ray.data.from_arrow(pa.table({"doc_id": [1, 2, 3],
                                      "text": [text, text, "zzz yyy xxx"]}))
 pairs = minhash_near_duplicates(docs, "doc_id", "text")
-print("RESULT", q["quantiles"][0.5], pairs.num_rows)
+print("RESULT", q["quantiles"][0.5], pairs.num_rows, len(strat))
 ray.shutdown()
 """
 
 
 def test_ops_run_when_workers_lack_the_package(tmp_path):
     """global_quantiles and minhash_near_duplicates start Ray work with a
-    direct materialize(), not a rayutil collect. Both must probe worker
+    direct materialize(), not a rayutil collect, and a bucket_groups
+    shuffle may be consumed by a plain take_all(). All must probe worker
     importability first: with PYTHONPATH unset the workers cannot import
     the package, and without the probe they die with ModuleNotFoundError.
     Runs in a fresh process with its own one-CPU Ray node."""
@@ -355,4 +361,4 @@ def test_ops_run_when_workers_lack_the_package(tmp_path):
         [sys.executable, "-c", _NO_PYTHONPATH_SCRIPT, repo], env=env,
         cwd=str(tmp_path), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
-    assert "RESULT 2.0 1" in proc.stdout, proc.stdout[-2000:]
+    assert "RESULT 2.0 1 2" in proc.stdout, proc.stdout[-2000:]
