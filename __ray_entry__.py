@@ -409,12 +409,14 @@ def q_ref_check_lineitem(sf_dir: str) -> pa.Table:
 
 
 def q_unique_check_events(sf_dir: str) -> pa.Table:
+    from jsonschema_validator_ray.ops.aggregates import grouped_aggregate
+
     # _read already supplies a metadata-free schema, so count() stays a
     # parquet-metadata-only answer (a strip_meta map here would force a
     # full scan just to count rows)
     ds = _read(sf_dir, "events", ["event_id"])
     n_rows = ds.count()
-    n_distinct = ds.groupby("event_id").count().count()
+    n_distinct = grouped_aggregate(ds, ["event_id"], []).count()
     return pa.table({"n_rows": pa.array([n_rows], pa.int64()),
                      "n_distinct": pa.array([n_distinct], pa.int64())})
 
@@ -972,8 +974,8 @@ def q_events_rollup(sf_dir: str) -> pa.Table:
 
 def q_viewers_without_purchase(sf_dir: str) -> pa.Table:
     """Set-op family (EXCEPT): users with ≥1 'view' event and NO 'purchase'
-    event — one distributed groupby with boolean-max partials."""
-    from ray.data.aggregate import Max
+    event — one grouped aggregate with boolean-max partials."""
+    from jsonschema_validator_ray.ops.aggregates import grouped_aggregate
 
     def flags(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -986,9 +988,8 @@ def q_viewers_without_purchase(sf_dir: str) -> pa.Table:
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"]) \
         .map_batches(flags, batch_format="pyarrow", zero_copy_batch=True)
-    agg = ds.groupby("user_id").aggregate(
-        Max("is_view", alias_name="v"), Max("is_purchase", alias_name="p"))
-    out = _collect(agg)
+    out = _collect(grouped_aggregate(ds, ["user_id"], [
+        ("is_view", "max", "v"), ("is_purchase", "max", "p")]))
     keep = pc.and_(pc.equal(out["v"], 1), pc.equal(out["p"], 0))
     return pa.table({"user_id": out["user_id"].filter(keep).cast(pa.int64())}
                     ).sort_by("user_id")

@@ -338,7 +338,9 @@ def make_row_validator(ir: ConstraintIR, mode: str = "enumerate"):
     All row constraints are evaluated in ONE pass over each zero-copy Arrow
     batch (validator-conjunction analog, src/types/schema.rs:67-78).
     """
-    assert mode in ("enumerate", "verdict")
+    if mode not in ("enumerate", "verdict"):
+        raise ValueError(f"make_row_validator: mode must be 'enumerate' or "
+                         f"'verdict', got {mode!r}")
     constraints = list(ir.row_constraints)
 
     def eval_mask(c: RowConstraint, batch: pa.Table, obj_cache: dict):

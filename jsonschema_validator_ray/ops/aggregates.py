@@ -4,7 +4,8 @@ Pattern: PARTIAL per-batch aggregation inside ``map_batches`` (vectorized
 Arrow kernels), FINAL merge of the tiny partial rows — the combiner push-down
 that keeps a 10^12-row profile from shuffling anything but per-batch
 summaries. Grouped aggregates with small key domains use the same shape;
-large-key groupbys go through ``Dataset.groupby`` (a real shuffle).
+large-key ones add the keyed bucket shuffle (``rayutil.bucket_groups``)
+between the partial and the final fold (``grouped_aggregate``).
 """
 
 from __future__ import annotations
@@ -107,21 +108,64 @@ def value_counts(ds, column: str, flag_set: Optional[Sequence] = None,
     return out.sort_by(column)
 
 
+# per-batch partials of each aggregate kind, and the fold of each partial
+_AGG_PARTIALS = {"sum": ("sum",), "count": ("count_all",), "min": ("min",),
+                 "max": ("max",), "mean": ("sum", "count")}
+_AGG_FOLD = {"sum": "sum", "count_all": "sum", "count": "sum", "min": "min",
+             "max": "max"}
+
+
 def grouped_aggregate(ds, keys: Sequence[str], aggs: Sequence[tuple]) -> "ray.data.Dataset":  # noqa: F821
-    """Grouped aggregate through Ray Data's shuffle ``groupby``.
+    """``SELECT keys, agg(column) AS alias ... GROUP BY keys`` as a partial
+    per batch plus a final fold, on the one bucket shuffle
+    (:func:`~jsonschema_validator_ray.rayutil.bucket_groups`, hashed on
+    ``keys[0]``).
 
     ``aggs``: (column, kind, alias) with kind in sum|count|min|max|mean.
-    """
-    from ray.data.aggregate import Count, Max, Mean, Min, Sum
+    ``count`` is ``count(*)`` (its column is ignored); sum, min, max and
+    mean skip nulls, and a group with no valid value gets null. The tag
+    task runs one Arrow group-by per batch (count → row count, sum / min /
+    max → the same kind, mean → a sum and a count of valid values), so the
+    shuffle moves at most one row per group per batch; each bucket re-folds
+    its partials with one more Arrow group-by (sums of sums and counts, min
+    of mins, max of maxes, mean = sum / count). Output: the keys, then one
+    column per alias in ``aggs`` order, counts int64, mean float64, rows in
+    no particular order. A null key is one group of its own, as in SQL
+    ``GROUP BY``."""
+    keys = list(keys)
+    for _, kind, _ in aggs:
+        if kind not in _AGG_PARTIALS:
+            raise ValueError(f"grouped_aggregate: unknown kind {kind!r}, "
+                             f"expected one of {sorted(_AGG_PARTIALS)}")
+    # one partial per distinct (column, fn), named as Arrow names it;
+    # count(*) reads no column
+    parts = {(c, fn): fn if c is None else f"{c}_{fn}" for c, fn in (
+        (None if fn == "count_all" else col, fn)
+        for col, kind, _ in aggs for fn in _AGG_PARTIALS[kind])}
+    read = list(dict.fromkeys(keys + [c for c, _ in parts if c is not None]))
 
-    mk = {"sum": Sum, "count": Count, "min": Min, "max": Max, "mean": Mean}
-    objs = []
-    for col, kind, alias in aggs:
-        if kind == "count":
-            objs.append(Count(alias_name=alias))
-        else:
-            objs.append(mk[kind](col, alias_name=alias))
-    return ds.groupby(list(keys)).aggregate(*objs)
+    def combine(batch: pa.Table) -> pa.Table:
+        return pa.TableGroupBy(batch.select(read), keys).aggregate(
+            [([] if c is None else c, fn) for c, fn in parts])
+
+    def final(group: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(group, keys).aggregate(
+            [(n, _AGG_FOLD[fn]) for (_, fn), n in parts.items()])
+
+        def folded(c, fn):
+            return g[f"{parts[(c, fn)]}_{_AGG_FOLD[fn]}"]
+        cols = {k: g[k] for k in keys}
+        for col, kind, alias in aggs:
+            if kind == "count":
+                cols[alias] = folded(None, "count_all").cast(pa.int64())
+            elif kind == "mean":
+                cols[alias] = pc.divide(folded(col, "sum").cast(pa.float64()),
+                                        folded(col, "count").cast(pa.float64()))
+            else:
+                cols[alias] = folded(col, kind)
+        return pa.table(cols)
+
+    return bucket_groups(ds, keys[0], final, prepare=combine)
 
 
 def top_k(ds, key: str, k: int, *, descending: bool = True,

@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 
 from ..rayutil import block_refs, collect_partials
 from ..state.hll import hash64, hash_pair128
+from .aggregates import grouped_aggregate
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 _FNV_OFFSET = np.uint64(1469598103934665603)
@@ -1146,10 +1147,8 @@ def simhash_near_duplicates(ds, id_column: str, text_column: str = "text",
                             n_buckets: int = 0) -> pa.Table:
     """SimHash near-dup, distributed: 4×16-bit band LSH rows carry the 8-byte
     signature, so Hamming verification happens inside the band-bucket groupby;
-    pairs are deduped with a distributed groupby. Returns (id_a, id_b,
+    pairs are deduped with ``grouped_aggregate``. Returns (id_a, id_b,
     hamming) — nothing corpus-sized ever reaches the driver."""
-    from ray.data.aggregate import Min
-
     from ..rayutil import avail_cpus, default_buckets
 
     n_buckets = default_buckets(n_buckets)
@@ -1221,8 +1220,8 @@ def simhash_near_duplicates(ds, id_column: str, text_column: str = "text",
                          "hamming": pa.array(cat(out_h), pa.int64())})
 
     verified = band_ds.groupby("pb").map_groups(emit, batch_format="pyarrow")
-    deduped = verified.groupby(["id_a", "id_b"]).aggregate(
-        Min("hamming", alias_name="hamming"))
+    deduped = grouped_aggregate(verified, ["id_a", "id_b"],
+                                [("hamming", "min", "hamming")])
     parts = [t for t in collect_partials(deduped)
              if "id_a" in t.column_names]
     if not parts:
@@ -1369,35 +1368,26 @@ def connected_components(pairs: pa.Table, id_a: str = "id_a",
 # --- exact dedup -----------------------------------------------------------
 
 def exact_dedup_keepers(ds, id_column: str, text_column: str):
-    """Exact dedup: content hash per batch → groupby(hash) over (hash, id)
-    ONLY → keeper = min id + copy count per distinct content.
+    """Exact dedup: content hash per batch → grouped aggregate over
+    (hash, id) ONLY → keeper = min id + copy count per distinct content.
 
-    Hashing is vectorized (two independent 64-bit polars hashes → 128-bit
-    key, collision-negligible at 10^12 docs). NULL text hashes to polars'
-    deterministic null-hash value, distinct from "" — NULL stays its own
-    group, matching SQL ``GROUP BY text`` semantics."""
-    import polars as pl
-
+    Hashing is vectorized (``hash_pair128``: two independent 64-bit polars
+    hashes → 128-bit key, collision-negligible at 10^12 docs). NULL text
+    hashes to polars' deterministic null-hash value, distinct from "" —
+    NULL stays its own group, matching SQL ``GROUP BY text`` semantics."""
     def add_hash(batch: pa.Table) -> pa.Table:
-        col = batch[text_column]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        s = pl.from_arrow(col)
-        h1 = s.hash(seed=42).to_numpy().astype(np.uint64)
-        h2 = s.hash(seed=1337).to_numpy().astype(np.uint64)
+        h1, h2 = hash_pair128(batch[text_column])
         return pa.table({
             "content_hash": pa.array(h1.astype(np.int64), pa.int64()),
             "content_hash2": pa.array(h2.astype(np.int64), pa.int64()),
             id_column: batch[id_column],
         })
 
-    from ray.data.aggregate import Count, Min
-
     hashed = ds.map_batches(add_hash, batch_format="pyarrow",
                             zero_copy_batch=True)
-    return hashed.groupby(["content_hash", "content_hash2"]).aggregate(
-        Min(id_column, alias_name="keeper_id"),
-        Count(alias_name="n_copies"))
+    return grouped_aggregate(hashed, ["content_hash", "content_hash2"],
+                             [(id_column, "min", "keeper_id"),
+                              (id_column, "count", "n_copies")])
 
 
 def _snap_hash_pair(col):
@@ -1874,7 +1864,6 @@ def embedding_neardup_ivf(ds, id_column: str, vec_column: str,
     least one common centroid bucket (holds when threshold ≫ inter-centroid
     similarity)."""
     import ray
-    from ray.data.aggregate import Max
 
     from .simsearch import _to_matrix, train_ivf_centroids
 
@@ -1932,8 +1921,8 @@ def embedding_neardup_ivf(ds, id_column: str, vec_column: str,
                               zero_copy_batch=True)
     pairs = assigned.groupby("bucket").map_groups(compare_bucket,
                                                   batch_format="pyarrow")
-    deduped = pairs.groupby(["id_a", "id_b"]).aggregate(
-        Max("cos", alias_name="cos"))
+    deduped = grouped_aggregate(pairs, ["id_a", "id_b"],
+                                [("cos", "max", "cos")])
     parts = [t for t in collect_partials(deduped)
              if "id_a" in t.column_names]
     if not parts:

@@ -107,7 +107,9 @@ def term_search(index_ds, terms: list[str], mode: str = "and") -> np.ndarray:
     """Boolean search over a built index: sorted int64 doc ids matching ALL
     (``and``) or ANY (``or``) of ``terms``. Reads ONLY the matched terms'
     posting rows (a filter pushed into the index Dataset), never the corpus."""
-    assert mode in ("and", "or")
+    if mode not in ("and", "or"):
+        raise ValueError(f"term_search: mode must be 'and' or 'or', "
+                         f"got {mode!r}")
     want = pa.array(sorted(set(terms)), pa.string())
 
     def keep(batch: pa.Table) -> pa.Table:

@@ -115,6 +115,14 @@ def _default_buckets(n_buckets: int) -> int:
     return default_buckets(n_buckets)
 
 
+def _check_reserved(reserved: set, schema: pa.Schema, op: str) -> None:
+    """The join's own tag columns must not already be input columns."""
+    clash = sorted(reserved & set(schema.names))
+    if clash:
+        raise ValueError(f"{op}: input columns {clash} clash with the "
+                         f"join's reserved columns {sorted(reserved)}")
+
+
 def asof_join(left_ds, right_ds, *, on: str, right_on: str,
               left_ts: str, right_ts: str, n_buckets: int = 0,
               left_schema: pa.Schema | None = None,
@@ -155,7 +163,7 @@ def asof_join(left_ds, right_ds, *, on: str, right_on: str,
     else:
         r_schema = right_ds.schema()
         ts_type = r_schema.types[list(r_schema.names).index(right_ts)]
-    assert not {"_jb", "_side", "_k", "_ts"} & set(l_schema.names)
+    _check_reserved({"_jb", "_side", "_k", "_ts"}, l_schema, "asof_join")
     union_schema = pa.schema(
         [("_jb", pa.int64()), ("_side", pa.int8())]
         + list(zip(l_schema.names, l_schema.types))
@@ -251,7 +259,8 @@ def range_agg_join(range_ds, point_ds, *, on: str, point_on: str,
     # see asof_join: pass range_schema to skip a full-pipeline schema probe
     r_schema = range_schema if range_schema is not None \
         else range_ds.schema()
-    assert not {"_jb", "_side", "_k", "_t0", "_t1", "_pv"} & set(r_schema.names)
+    _check_reserved({"_jb", "_side", "_k", "_t0", "_t1", "_pv"}, r_schema,
+                    "range_agg_join")
     payload_schema = pa.schema(
         list(zip(r_schema.names, r_schema.types))
         + [("_k", pa.int64()), ("_t0", pa.int64()), ("_t1", pa.int64()),
@@ -370,7 +379,8 @@ def interval_overlap_join(a_ds, b_ds, *, on: str, a_start: str, a_end: str,
     b_on = b_on or on
     n_buckets = _default_buckets(n_buckets)
     schema_a = a_schema if a_schema is not None else a_ds.schema()
-    assert not {"_jb", "_side", "_k", "_s", "_e"} & set(schema_a.names)
+    _check_reserved({"_jb", "_side", "_k", "_s", "_e"}, schema_a,
+                    "interval_overlap_join")
     payload_schema = pa.schema(
         list(zip(schema_a.names, schema_a.types))
         + [("_k", pa.int64()), ("_s", pa.int64()), ("_e", pa.int64())])

@@ -171,10 +171,13 @@ def bucket_groups(ds, key: str, per_bucket, *, prepare=None, columns=None):
     before the hash), then one ``groupby`` on ``_bucket`` + ``map_groups``
     — every key's rows meet in one bucket, which reaches ``per_bucket``
     with the ``_bucket`` column already dropped. The bucket count is
-    :func:`default_buckets`; results never depend on it."""
+    :func:`default_buckets`; results never depend on it. Installs
+    :func:`quiet_empty_partition_warnings`: buckets outnumber the groups of
+    a small input, and each empty one would log a schema WARNING."""
     import functools
 
     ensure_worker_importable()
+    quiet_empty_partition_warnings()
     if columns is not None:
         ds = ds.select_columns(list(dict.fromkeys(columns)))
 

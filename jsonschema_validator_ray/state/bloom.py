@@ -21,7 +21,9 @@ class BloomFilter:
 
     def __init__(self, m_bits: int = 1 << 20, k: int = 5,
                  bits: np.ndarray | None = None):
-        assert m_bits % 8 == 0
+        if m_bits % 8:
+            raise ValueError(f"BloomFilter: m_bits must be a multiple of 8, "
+                             f"got {m_bits}")
         self.m = m_bits
         self.k = k
         self.bits = (bits.astype(np.uint8, copy=True) if bits is not None
@@ -49,7 +51,9 @@ class BloomFilter:
         return got.all(axis=0)
 
     def merge(self, other: "BloomFilter") -> "BloomFilter":
-        assert self.m == other.m and self.k == other.k
+        if (self.m, self.k) != (other.m, other.k):
+            raise ValueError(f"BloomFilter.merge: (m_bits, k) "
+                             f"{(other.m, other.k)} != {(self.m, self.k)}")
         np.bitwise_or(self.bits, other.bits, out=self.bits)
         return self
 

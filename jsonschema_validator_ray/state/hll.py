@@ -73,7 +73,9 @@ class HyperLogLog:
         self.update_hashes(hash64(values))
 
     def merge(self, other: "HyperLogLog") -> "HyperLogLog":
-        assert self.p == other.p
+        if self.p != other.p:
+            raise ValueError(f"HyperLogLog.merge: precision {other.p} "
+                             f"!= {self.p}")
         np.maximum(self.registers, other.registers, out=self.registers)
         return self
 

@@ -229,12 +229,15 @@ def test_to_arrow_refs_only_in_rayutil():
     assert hits == ["rayutil.py"]
 
 
-def test_transcript_ops_ignore_wide_unused_column(ray_session):
+def test_transcript_ops_ignore_wide_unused_column(ray_session, monkeypatch):
     """The grouped ops whose output holds only columns they name project
     those columns before their shuffle: an extra wide column they never
-    read leaves their output unchanged."""
+    read leaves their output unchanged and never leaves the tag stage
+    (the tagger is wrapped to fail on any batch that would carry it into
+    the shuffle)."""
     import ray.data
 
+    from jsonschema_validator_ray import rayutil
     from jsonschema_validator_ray.ops.aggregates import (
         adjacent_pairs, alternation_stats, funnel_steps, grouped_percent_rank,
         grouped_quantiles, render_conversations, sessionize_counts)
@@ -252,6 +255,19 @@ def test_transcript_ops_ignore_wide_unused_column(ray_session):
         "id": pa.array(range(n), pa.int64()),
     })
     wide = t.append_column("blob", pa.array(["x" * 20_000] * n))
+    tagger = rayutil.bucket_tagger
+
+    def checked_tagger(key, n_buckets, prepare=None):
+        tag = tagger(key, n_buckets, prepare)
+
+        def checked(batch):
+            out = tag(batch)
+            if "blob" in out.column_names:
+                raise ValueError("the unused blob column entered a shuffle")
+            return out
+        return checked
+
+    monkeypatch.setattr(rayutil, "bucket_tagger", checked_tagger)
 
     def collected(ds, *order):
         return pa.concat_tables(collect_partials(ds)).sort_by(
@@ -313,6 +329,49 @@ def test_bucket_shuffle_only_in_rayutil():
             if fn.__module__ == mod.__name__:
                 assert "n_buckets" not in inspect.signature(fn).parameters, \
                     name
+
+
+def test_no_ray_builtin_aggregates():
+    """ops.aggregates.grouped_aggregate is the one grouped aggregate: Ray
+    Data's row-at-a-time ``groupby(...).aggregate/count/sum/...`` appears
+    nowhere in the package or the gate queries."""
+    import pathlib
+    import re
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    builtin = re.compile(
+        r"groupby\([^)]+\)\s*\.(aggregate|count|sum|min|max|mean|std)\(")
+    for f in sorted((root / "jsonschema_validator_ray").rglob("*.py")) \
+            + [root / "__ray_entry__.py"]:
+        src = f.read_text()
+        assert "ray.data.aggregate" not in src, f
+        assert not builtin.search(src), f
+
+
+def test_bucket_groups_quiets_empty_partition_warnings(ray_session):
+    """Every bucket shuffle installs the empty-partition WARNING filter
+    itself, not only the processes that call
+    quiet_empty_partition_warnings() up front."""
+    import logging
+
+    import ray.data
+
+    from jsonschema_validator_ray import rayutil
+    from jsonschema_validator_ray.ops.aggregates import grouped_aggregate
+
+    logger = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+
+    def installed():
+        return [f for f in logger.filters
+                if isinstance(f, rayutil._EmptySchemaFilter)]
+
+    for f in installed():
+        logger.removeFilter(f)
+    out = grouped_aggregate(ray.data.from_arrow(pa.table({"k": [1, 2, 2]})),
+                            ["k"], [("k", "count", "n")]).take_all()
+    assert sorted((r["k"], r["n"]) for r in out) == [(1, 1), (2, 2)]
+    assert len(installed()) == 1
 
 
 _NO_PYTHONPATH_SCRIPT = """
