@@ -252,7 +252,7 @@ def _spread_blocks(ds, min_blocks: int):
 
 
 def minhash_band_rows(sigs_ds, id_column: str, n_perms: int, bands: int,
-                      n_buckets: int, carry_signature: bool = True):
+                      carry_signature: bool = True):
     """Signatures → band rows (pb, band, band_hash, id[, sig8]).
 
     ``carry_signature=True`` ships a FOLDED 1-byte-per-perm sketch (``sig8``,
@@ -269,6 +269,10 @@ def minhash_band_rows(sigs_ds, id_column: str, n_perms: int, bands: int,
     estimate ≥ the exact estimate pointwise — no pair the exact prefilter
     would keep is ever dropped, and exact verification makes the final
     output identical."""
+    from ..rayutil import default_buckets
+
+    n_buckets = default_buckets()
+
     def expand(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         cols = {
@@ -401,8 +405,7 @@ def _emit_bucket_pairs(id_column: str, n_perms: int = 0,
 
 def minhash_lsh_candidate_pairs(ds, id_column: str, text_column: str,
                                 n_perms: int = 128, bands: int = 32,
-                                k: int = 5, n_buckets: int = 0,
-                                est_threshold: float = 0.0,
+                                k: int = 5, est_threshold: float = 0.0,
                                 concurrency=None, dedup: bool = True):
     """Distributed LSH candidate pairs: returns a Dataset of UNIQUE
     (id_a, id_b) rows (``dedup=False`` skips the cross-band dedup groupby
@@ -411,11 +414,11 @@ def minhash_lsh_candidate_pairs(ds, id_column: str, text_column: str,
     from ..rayutil import avail_cpus, default_buckets, ensure_worker_importable
 
     ensure_worker_importable()      # the pairs.materialize() below runs first
-    n_buckets = default_buckets(n_buckets)
+    n_buckets = default_buckets()
     sigs = minhash_signatures(_spread_blocks(ds, 2 * avail_cpus()),
                               id_column, text_column, n_perms, k,
                               concurrency)
-    band_ds = minhash_band_rows(sigs, id_column, n_perms, bands, n_buckets,
+    band_ds = minhash_band_rows(sigs, id_column, n_perms, bands,
                                 carry_signature=bool(est_threshold))
     pairs = band_ds.groupby("pb").map_groups(
         _emit_bucket_pairs(id_column, n_perms if est_threshold else 0,
@@ -1143,15 +1146,14 @@ def add_simhash(ds, text_column: str = "text", out: str = "simhash", k: int = 5,
 
 
 def simhash_near_duplicates(ds, id_column: str, text_column: str = "text",
-                            max_hamming: int = 3, k: int = 5,
-                            n_buckets: int = 0) -> pa.Table:
+                            max_hamming: int = 3, k: int = 5) -> pa.Table:
     """SimHash near-dup, distributed: 4×16-bit band LSH rows carry the 8-byte
     signature, so Hamming verification happens inside the band-bucket groupby;
     pairs are deduped with ``grouped_aggregate``. Returns (id_a, id_b,
     hamming) — nothing corpus-sized ever reaches the driver."""
     from ..rayutil import avail_cpus, default_buckets
 
-    n_buckets = default_buckets(n_buckets)
+    n_buckets = default_buckets()
     with_sig = add_simhash(_spread_blocks(ds, 2 * avail_cpus()),
                            text_column, "simhash", k)
 
@@ -1425,7 +1427,7 @@ def _hash_membership(S1: np.ndarray, S2: np.ndarray, h1: np.ndarray,
 def dedup_against_snapshot(ds_new, snapshot_ds, id_column: str,
                            text_column: str,
                            broadcast_cap_bytes: int = 1 << 30,
-                           route: str = "auto", n_buckets: int = 0,
+                           route: str = "auto",
                            new_schema: "pa.Schema | None" = None):
     """Incremental (cross-run) exact dedup — the re-ingestion step of a
     continuously-updated corpus: drop every new row whose ``text_column``
@@ -1442,16 +1444,17 @@ def dedup_against_snapshot(ds_new, snapshot_ds, id_column: str,
       per-block DISTINCT hash partials (text never reaches the driver), the
       driver lexsorts once and ``ray.put``s the index ONCE; the new corpus
       streams through a vectorized membership filter. NO shuffle.
-    - **shuffle** (any snapshot size): both sides bucket by ``h1`` — the
-      snapshot as bare 16-byte hash rows, the new corpus carrying its
-      payload columns through the one all-to-all — and each bucket filters
-      its new rows against its own snapshot slice with the same membership
-      kernel. ``auto`` falls back to this when the folded index would bust
-      the cap. Pass ``new_schema`` to skip the schema probe on a derived
+    - **shuffle** (any snapshot size): both sides are co-partitioned on
+      ``h1`` by the multi-input ``rayutil.bucket_groups`` — the snapshot as
+      bare 16-byte hash rows, the new corpus carrying its payload columns
+      through the one all-to-all — and each bucket filters its new rows
+      against its own snapshot slice with the same membership kernel.
+      ``auto`` falls back to this when the folded index would bust the
+      cap. Pass ``new_schema`` to skip the schema probe on a derived
       ``ds_new`` (same pattern as ``reduce_side_hash_join``)."""
     import ray
 
-    from ..rayutil import default_buckets, strip_meta
+    from ..rayutil import bucket_groups
 
     if route not in ("auto", "broadcast", "shuffle"):
         raise ValueError(f"unknown route {route!r}")
@@ -1517,49 +1520,25 @@ def dedup_against_snapshot(ds_new, snapshot_ds, id_column: str,
             return ds_new.map_batches(keep_new, batch_format="pyarrow",
                                       zero_copy_batch=True)
 
-    # ---- shuffle route: one all-to-all bucketed by h1 ----------------------
-    n_buckets = default_buckets(n_buckets)
+    # ---- shuffle route: one all-to-all co-partitioned on h1 ---------------
     schema = new_schema if new_schema is not None else ds_new.schema()
-    schema = getattr(schema, "base_schema", schema)   # ray Schema -> pyarrow
     names = list(schema.names)
+    hashes = [("_h1", pa.int64()), ("_h2", pa.int64())]
 
-    def new_tagged(batch: pa.Table) -> pa.Table:
+    def new_hashed(batch: pa.Table) -> pa.Table:
         col = batch[text_column]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        valid = pc.is_valid(col)
         h1, h2 = _snap_hash_pair(col.fill_null(""))
-        cols = {n: batch[n] for n in names}
-        cols["_h1"] = pa.array(h1.astype(np.int64), pa.int64())
-        cols["_h2"] = pa.array(h2.astype(np.int64), pa.int64())
-        cols["_tv"] = valid.cast(pa.int8())
-        cols["_snap"] = pa.array(np.zeros(batch.num_rows, np.int8),
-                                 pa.int8())
-        cols["_bucket"] = pa.array(
-            (h1 % np.uint64(n_buckets)).astype(np.int64), pa.int64())
-        return strip_meta(pa.table(cols))
+        return batch.select(names) \
+            .append_column("_h1", pa.array(h1.astype(np.int64), pa.int64())) \
+            .append_column("_h2", pa.array(h2.astype(np.int64), pa.int64())) \
+            .append_column("_tv", pc.is_valid(col).cast(pa.int8()))
 
-    def snap_tagged(batch: pa.Table) -> pa.Table:
-        h1 = batch["h1"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = batch.num_rows
-        cols = {nm: pa.nulls(n, schema.field(nm).type) for nm in names}
-        cols["_h1"] = batch["h1"]
-        cols["_h2"] = batch["h2"]
-        cols["_tv"] = pa.array(np.ones(n, np.int8), pa.int8())
-        cols["_snap"] = pa.array(np.ones(n, np.int8), pa.int8())
-        cols["_bucket"] = pa.array(
-            (h1 % np.uint64(n_buckets)).astype(np.int64), pa.int64())
-        return strip_meta(pa.table(cols))
+    def snap_renamed(batch: pa.Table) -> pa.Table:
+        return batch.rename_columns(["_h1", "_h2"])
 
-    tagged = ds_new.map_batches(new_tagged, batch_format="pyarrow",
-                                zero_copy_batch=True) \
-        .union(snap_hashes.map_batches(snap_tagged, batch_format="pyarrow",
-                                       zero_copy_batch=True))
-
-    def filter_bucket(group: pa.Table) -> pa.Table:
-        is_snap = pc.equal(group["_snap"], pa.scalar(1, pa.int8()))
-        snap = group.filter(is_snap)
-        new = group.filter(pc.invert(is_snap))
+    def filter_bucket(new: pa.Table, snap: pa.Table) -> pa.Table:
         S1 = snap["_h1"].to_numpy(zero_copy_only=False).astype(np.uint64)
         S2 = snap["_h2"].to_numpy(zero_copy_only=False).astype(np.uint64)
         order = np.lexsort((S2, S1))
@@ -1569,10 +1548,13 @@ def dedup_against_snapshot(ds_new, snapshot_ds, id_column: str,
         tv = new["_tv"].to_numpy(zero_copy_only=False).astype(bool)
         hit = _hash_membership(S1, S2, h1, h2)
         return new.filter(pa.array(~(hit & tv))) \
-            .drop_columns(["_h1", "_h2", "_tv", "_snap", "_bucket"])
+            .drop_columns(["_h1", "_h2", "_tv"])
 
-    return tagged.groupby("_bucket").map_groups(filter_bucket,
-                                                batch_format="pyarrow")
+    return bucket_groups(
+        [(ds_new, "_h1", new_hashed, pa.schema(
+            list(zip(names, schema.types)) + hashes + [("_tv", pa.int8())])),
+         (snap_hashes, "_h1", snap_renamed, pa.schema(hashes))],
+        filter_bucket)
 
 
 def chunk_dedup(ds, id_column: str, text_column: str, window: int = 3):
@@ -1585,27 +1567,23 @@ def chunk_dedup(ds, id_column: str, text_column: str, window: int = 3):
     ``(id, n_chunks, n_kept, clean_md5)`` per document — md5 of the
     re-joined text so the oracle compares content without shipping it.
 
-    Scale shape (100 TB): TWO hash-bucket shuffles, neither carrying the
-    corpus twice —
+    Scale shape (100 TB): TWO ``rayutil.bucket_groups`` shuffles, neither
+    carrying the corpus twice —
     - shuffle 1 moves only ``(h1, h2, doc_id, chunk_idx)`` rows (two
       independent 64-bit polars hashes per chunk, collision-negligible;
-      ~32 bytes/chunk, no chunk text), bucketed by h1; inside a bucket one
+      ~32 bytes/chunk, no chunk text), keyed on h1; inside a bucket one
       lexsort finds every non-first occurrence per (h1, h2) and emits the
       DROPPED coordinates only;
-    - shuffle 2 co-locates each document's text row with its dropped
-      coordinates (single shared schema, ci = -1 tags the text row) and
-      rebuilds per doc.
+    - shuffle 2 co-partitions each document's text row (one side) with its
+      dropped coordinates (the other side) on the doc id and rebuilds per
+      doc.
     Null/empty text ⇒ one ``''`` chunk to match SQL ``string_split`` (null
     text ⇒ 0 chunks, md5(''))."""
     import hashlib
 
     import polars as pl
-    import ray
 
-    from ..rayutil import default_buckets, strip_meta
-    from ..stages.groupcheck import np_column_hash
-
-    n_buckets = default_buckets()
+    from ..rayutil import bucket_groups
 
     def chunk_flat(col) -> tuple:
         """Flat chunk-string array + per-doc chunk counts + per-chunk
@@ -1649,8 +1627,6 @@ def chunk_dedup(ds, id_column: str, text_column: str, window: int = 3):
         h1 = s.hash(seed=42).to_numpy().astype(np.uint64)
         h2 = s.hash(seed=1337).to_numpy().astype(np.uint64)
         return pa.table({
-            "_bucket": pa.array((h1 % np.uint64(n_buckets)).astype(np.int64),
-                                pa.int64()),
             "h1": pa.array(h1.astype(np.int64), pa.int64()),
             "h2": pa.array(h2.astype(np.int64), pa.int64()),
             "doc": pa.array(doc, pa.int64()),
@@ -1669,34 +1645,17 @@ def chunk_dedup(ds, id_column: str, text_column: str, window: int = 3):
             first[1:] = (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])
         drop = order[~first]
         return pa.table({"doc": pa.array(doc[drop], pa.int64()),
-                         "ci": pa.array(ci[drop], pa.int64()),
-                         "text": pa.nulls(drop.size, pa.string())})
+                         "ci": pa.array(ci[drop], pa.int64())})
 
     def doc_rows(batch: pa.Table) -> pa.Table:
-        t = pa.table({"doc": batch[id_column].cast(pa.int64()),
-                      "ci": pa.nulls(batch.num_rows, pa.int64())
-                      .fill_null(-1),
-                      "text": batch[text_column].cast(pa.string())})
-        h = (np_column_hash(t["doc"]) % np.uint64(n_buckets)).astype(np.int64)
-        return strip_meta(t).append_column(
-            "_dbucket", pa.array(h, pa.int64()))
+        return pa.table({"doc": batch[id_column].cast(pa.int64()),
+                         "text": batch[text_column].cast(pa.string())})
 
-    def route_drops(batch: pa.Table) -> pa.Table:
-        h = (np_column_hash(batch["doc"])
-             % np.uint64(n_buckets)).astype(np.int64)
-        return strip_meta(batch).append_column(
-            "_dbucket", pa.array(h, pa.int64()))
-
-    def rebuild(group: pa.Table) -> pa.Table:
-        ci = group["ci"].to_numpy(zero_copy_only=False)
-        is_doc = ci == -1
-        docs = group.filter(pa.array(is_doc))
+    def rebuild(docs: pa.Table, drops: pa.Table) -> pa.Table:
         chunks, counts, pos = chunk_flat(docs["text"])
         doc_ids = docs["doc"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dmask = ~is_doc
-        ddoc = group["doc"].to_numpy(zero_copy_only=False)[dmask] \
-            .astype(np.int64)
-        dci = ci[dmask].astype(np.int64)
+        ddoc = drops["doc"].to_numpy(zero_copy_only=False).astype(np.int64)
+        dci = drops["ci"].to_numpy(zero_copy_only=False).astype(np.int64)
         # vectorized dropped-coordinate membership: lexsort the drop pairs
         # once, then ONE compound (doc_id * M + chunk_idx) searchsorted over
         # every chunk — no per-doc Python set (VERDICT r4 #5). M = max
@@ -1737,16 +1696,12 @@ def chunk_dedup(ds, id_column: str, text_column: str, window: int = 3):
                          "n_kept": pa.array(kept_counts, pa.int64()),
                          "clean_md5": pa.array(md5s, pa.string())})
 
-    hashed = ds.map_batches(hash_rows, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    drops = hashed.groupby("_bucket").map_groups(dropped_rows,
-                                                 batch_format="pyarrow")
-    tagged = ds.map_batches(doc_rows, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    routed = drops.map_batches(route_drops, batch_format="pyarrow",
-                               zero_copy_batch=True)
-    return tagged.union(routed).groupby("_dbucket") \
-        .map_groups(rebuild, batch_format="pyarrow")
+    drops = bucket_groups(ds, "h1", dropped_rows, prepare=hash_rows)
+    coords = [("doc", pa.int64())]
+    return bucket_groups(
+        [(ds, "doc", doc_rows, pa.schema(coords + [("text", pa.string())])),
+         (drops, "doc", None, pa.schema(coords + [("ci", pa.int64())]))],
+        rebuild)
 
 
 def semdedup(ds, id_column: str, vec_column: str, threshold: float = 0.45,
@@ -2038,8 +1993,7 @@ def ngram_gram_blobs(ds, id_column: str, text_column: str, n: int):
                           zero_copy_batch=True).materialize()
 
 
-def ngram_hot_grams(grams_ds, hot_df: int, n_buckets: int,
-                    key_column: str = "doc_id",
+def ngram_hot_grams(grams_ds, hot_df: int, key_column: str = "doc_id",
                     sample_fraction: float = 1.0) -> pa.Table:
     """Distributed document-frequency pass over staged gram blobs: per-batch
     partial gram counts → one hash-bucket groupby sum → grams with
@@ -2055,6 +2009,9 @@ def ngram_hot_grams(grams_ds, hot_df: int, n_buckets: int,
     under-flagging merely risks extra candidate emission, never a missed
     pair. A df-64 gram is seen ≥ ~fraction·64/2 times in the sample w.h.p.,
     so genuinely hot grams still flag; the pass cost drops ∝ fraction."""
+    from ..rayutil import default_buckets
+
+    n_buckets = default_buckets()
     if sample_fraction < 1.0:
         from .sampling import hash_sample
 
@@ -2153,7 +2110,6 @@ def _triu_pairs_runs(pg_sorted: np.ndarray,
 
 def ngram_jaccard_near_duplicates(ds, id_column: str, text_column: str,
                                   n: int = 3, threshold: float = 0.6,
-                                  n_buckets: int = 0,
                                   hot_df: int = 64,
                                   hot_sample_fraction: float = 0.25,
                                   hot_min_docs: int = 20_000,
@@ -2184,7 +2140,7 @@ def ngram_jaccard_near_duplicates(ds, id_column: str, text_column: str,
 
     from ..rayutil import default_buckets
 
-    n_buckets = default_buckets(n_buckets)
+    n_buckets = default_buckets()
 
     grams_ds = ngram_gram_blobs(ds, id_column, text_column, n)
     # the hot-gram df scan only pays when df² can explode: below
@@ -2209,8 +2165,7 @@ def ngram_jaccard_near_duplicates(ds, id_column: str, text_column: str,
         # it is compute-dense, measured 3.7 s single-core vs 0.8 s across
         # tasks at gate scale
     else:
-        hot = ngram_hot_grams(grams_ds, hot_df, n_buckets,
-                              key_column=id_column,
+        hot = ngram_hot_grams(grams_ds, hot_df, key_column=id_column,
                               sample_fraction=hot_sample_fraction)
     hot_ref = ray.put(_hot_levels(hot))
 

@@ -3,11 +3,12 @@
 The index-build shape every search/retrieval stage of a training-data
 pipeline needs: one pass extracts distinct (term, doc) postings per batch
 (vectorized: Arrow split + dictionary-encode + one lexsort — no per-doc
-Python), ONE term-hash-bucket groupby co-locates each term's postings, and
-each bucket emits one row per term: ``(term, df, postings)`` with the
-posting list packed as a sorted-int64 binary blob. Only vocabulary-scale
-rows leave the shuffle (Zipf: vocab ≪ corpus). Searches then read ONLY the
-matched terms' posting rows and intersect sorted arrays — never the corpus.
+Python), the keyed shuffle ``rayutil.bucket_groups`` hashed on the term
+co-locates each term's postings, and each bucket emits one row per term:
+``(term, df, postings)`` with the posting list packed as a sorted-int64
+binary blob. Only vocabulary-scale rows leave the shuffle (Zipf: vocab ≪
+corpus). Searches then read ONLY the matched terms' posting rows and
+intersect sorted arrays — never the corpus.
 
 At 100 TB: the build is a single all-to-all keyed by term hash (hot terms
 are single-bucket but posting blobs are bounded by doc count; shard a
@@ -22,25 +23,16 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import collect_partials
+from ..rayutil import bucket_groups, collect_partials
 
 
-def build_inverted_index(ds, column: str = "text", id_column: str = "doc_id",
-                         n_buckets: int = 0):
+def build_inverted_index(ds, column: str = "text", id_column: str = "doc_id"):
     """Dataset of ``(term, df, postings)`` — postings a binary blob of the
     term's SORTED distinct int64 doc ids. Docs must not repeat across input
     rows (one row per doc)."""
-    import ray
-
-    from ..stages.groupcheck import np_column_hash
-
-    if n_buckets <= 0:
-        avail = int(ray.cluster_resources().get("CPU", 4)) \
-            if ray.is_initialized() else 4
-        n_buckets = 4 * avail
 
     def postings_partial(batch: pa.Table) -> pa.Table:
-        """Distinct (term, doc) pairs of one batch, term-hash-bucketed."""
+        """Distinct (term, doc) pairs of one batch."""
         # null text -> no postings (fill_null then the "" filter below;
         # NaN lens from a null list would crash np.repeat)
         words = pc.split_pattern(pc.fill_null(batch[column], ""), " ")
@@ -62,11 +54,9 @@ def build_inverted_index(ds, column: str = "text", id_column: str = "doc_id",
         ci, di = ci[new], di[new]
         ids = batch[id_column].combine_chunks() \
             .to_numpy(zero_copy_only=False).astype(np.int64)
-        terms = codes.dictionary.take(pa.array(ci, pa.int64()))
-        tb = (np_column_hash(terms) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table({"tb": pa.array(tb, pa.int64()),
-                         "term": terms,
-                         "doc_id": pa.array(ids[di], pa.int64())})
+        return pa.table({
+            "term": codes.dictionary.take(pa.array(ci, pa.int64())),
+            "doc_id": pa.array(ids[di], pa.int64())})
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         """One row per term: sorted distinct doc ids packed to a blob.
@@ -98,9 +88,7 @@ def build_inverted_index(ds, column: str = "text", id_column: str = "doc_id",
             "postings": pa.array(out_blobs, pa.binary()),
         })
 
-    return ds.map_batches(postings_partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("tb").map_groups(merge_bucket, batch_format="pyarrow")
+    return bucket_groups(ds, "term", merge_bucket, prepare=postings_partial)
 
 
 def term_search(index_ds, terms: list[str], mode: str = "and") -> np.ndarray:

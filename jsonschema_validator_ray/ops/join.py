@@ -5,14 +5,17 @@ Two shapes (SURVEY.md §2.2 joins/lookups row):
 - **Broadcast semi/anti join** for small dimension sides: ``ray.put`` the key
   set once, ``pc.is_in`` per batch (see the `ref` kernel and
   ``__ray_entry__.q_ref_check_lineitem``).
-- **Reduce-side hash join** for LARGE-LARGE fact joins: both sides are
-  tagged and bucketed by ``hash(key) % n_buckets``, shuffled with ONE
-  groupby, and joined inside each bucket group with pyarrow's vectorized
-  ``Table.join``. An optional ``group_fn`` post-processes each joined bucket
-  in place (partial aggregation, local top-k) so only result-scale rows
-  leave the shuffle. Because a key's rows land in exactly one bucket, an
-  aggregation keyed by the join key completes inside the bucket — no second
-  shuffle.
+- **Co-partitioned joins** for LARGE-LARGE inputs (``reduce_side_hash_join``,
+  ``asof_join``, ``range_agg_join``, ``interval_overlap_join``,
+  ``table_diff``): both sides go through the multi-input
+  ``rayutil.bucket_groups``, which hashes each side on its key and hands
+  every bucket to the op as one table per side; the op matches them with
+  pyarrow's vectorized ``Table.join`` or numpy searches. Because a key's
+  rows of BOTH sides land in exactly one bucket, outer semantics and any
+  aggregation keyed by the join key complete inside the bucket — no second
+  shuffle. An optional ``group_fn`` post-processes each joined bucket in
+  place (partial aggregation, local top-k) so only result-scale rows leave
+  the shuffle.
 """
 
 from __future__ import annotations
@@ -21,21 +24,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import collect_partials
+from ..rayutil import bucket_groups, collect_partials
 
 
-def _pad_to(batch: pa.Table, schema: pa.Schema) -> pa.Table:
-    cols = []
-    for f in schema:
-        if f.name in batch.column_names:
-            cols.append(batch[f.name].cast(f.type))
-        else:
-            cols.append(pa.nulls(batch.num_rows, f.type))
-    return pa.table(dict(zip(schema.names, cols)), schema=schema)
-
-
-def reduce_side_hash_join(left_ds, right_ds, key: str, *,
-                          n_buckets: int = 0, group_fn=None,
+def reduce_side_hash_join(left_ds, right_ds, key: str, *, group_fn=None,
                           join_type: str = "inner", right_fn=None,
                           left_fn=None, left_schema: pa.Schema | None = None,
                           right_schema: pa.Schema | None = None):
@@ -56,48 +48,16 @@ def reduce_side_hash_join(left_ds, right_ds, key: str, *,
     (mapped) Dataset: ``Dataset.schema()`` on one executes part of the
     upstream pipeline as a probe — an explicit schema skips that re-execution
     (same pattern as ``asof_join`` / ``range_agg_join``)."""
-    import ray
-
-    from ..stages.groupcheck import np_column_hash
-
-    if n_buckets <= 0:
-        avail = int(ray.cluster_resources().get("CPU", 4)) \
-            if ray.is_initialized() else 4
-        n_buckets = 4 * avail
-
     l_schema = left_schema if left_schema is not None else left_ds.schema()
     r_schema = right_schema if right_schema is not None \
         else right_ds.schema()
-    l_names = list(l_schema.names)
-    r_names = [n for n in r_schema.names if n != key]
-    union_schema = pa.schema(
-        [("_jb", pa.int64()), ("_side", pa.int8())]
-        + list(zip(l_schema.names, l_schema.types))
-        + [(n, t) for n, t in zip(r_schema.names, r_schema.types)
-           if n != key])
+    # the right key arrives cast to the left key's type: Arrow joins equal
+    # key types only
+    l_types = dict(zip(l_schema.names, l_schema.types))
+    r_schema = pa.schema([(n, l_types.get(n, t) if n == key else t)
+                          for n, t in zip(r_schema.names, r_schema.types)])
 
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            jb = (np_column_hash(batch[key]) % np.uint64(n_buckets)) \
-                .astype(np.int64)
-            out = _pad_to(batch, pa.schema(
-                [(n, t) for n, t in zip(union_schema.names,
-                                        union_schema.types)
-                 if n not in ("_jb", "_side")]))
-            out = out.add_column(0, "_side", pa.array(
-                np.full(batch.num_rows, side, np.int8), pa.int8()))
-            return out.add_column(0, "_jb", pa.array(jb, pa.int64()))
-        return fn
-
-    tagged = left_ds.map_batches(tag(0), batch_format="pyarrow",
-                                 zero_copy_batch=True).union(
-        right_ds.map_batches(tag(1), batch_format="pyarrow",
-                             zero_copy_batch=True))
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        is_l = pc.equal(group["_side"], 0)
-        lt = group.filter(is_l).select(l_names)
-        rt = group.filter(pc.invert(is_l)).select([key] + r_names)
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
         if left_fn is not None:
             lt = left_fn(lt)
         if right_fn is not None:
@@ -105,14 +65,8 @@ def reduce_side_hash_join(left_ds, right_ds, key: str, *,
         j = lt.join(rt, keys=key, join_type=join_type)
         return group_fn(j) if group_fn is not None else j
 
-    return tagged.groupby("_jb").map_groups(join_bucket,
-                                            batch_format="pyarrow")
-
-
-def _default_buckets(n_buckets: int) -> int:
-    from ..rayutil import default_buckets
-
-    return default_buckets(n_buckets)
+    return bucket_groups([(left_ds, key, None, l_schema),
+                          (right_ds, key, None, r_schema)], join_bucket)
 
 
 def _check_reserved(reserved: set, schema: pa.Schema, op: str) -> None:
@@ -123,8 +77,17 @@ def _check_reserved(reserved: set, schema: pa.Schema, op: str) -> None:
                          f"join's reserved columns {sorted(reserved)}")
 
 
+def _with_columns(batch: pa.Table, cols: dict, keep_batch: bool) -> pa.Table:
+    """``cols`` appended to ``batch`` (``keep_batch``) or alone."""
+    if not keep_batch:
+        return pa.table(cols)
+    for name, col in cols.items():
+        batch = batch.append_column(name, col)
+    return batch
+
+
 def asof_join(left_ds, right_ds, *, on: str, right_on: str,
-              left_ts: str, right_ts: str, n_buckets: int = 0,
+              left_ts: str, right_ts: str,
               left_schema: pa.Schema | None = None,
               right_ts_type: pa.DataType | None = None):
     """Distributed backward as-of join: for each left row, find the LATEST
@@ -136,24 +99,21 @@ def asof_join(left_ds, right_ds, *, on: str, right_on: str,
     SQL-oracle-comparable). Inner semantics: left rows with no right row
     at-or-before their timestamp are dropped.
 
-    Shape: both sides are tagged with ``hash(key) % n_buckets``, shuffled
-    with ONE groupby, and matched inside each bucket fully vectorized — the
-    right side is lexsorted by (key, ts) and each left row resolved with a
-    single ``np.searchsorted`` over a dense (key_rank, ts_rank) compound,
-    so a hot bucket never degenerates to a Python loop.
+    Shape: both sides are co-partitioned on the key by
+    ``rayutil.bucket_groups`` and matched inside each bucket fully
+    vectorized — the right side is lexsorted by (key, ts) and each left row
+    resolved with a single ``np.searchsorted`` over a dense (key_rank,
+    ts_rank) compound, so a hot bucket never degenerates to a Python loop.
 
     Partitioning assumption (same as ``reduce_side_hash_join``): all rows of
-    one key land in one bucket group, which must fit in a worker's heap;
-    the compound is bounded by rows² < 2**63 per bucket.
+    one key land in one bucket, which must fit in a worker's heap; the
+    compound is bounded by rows² < 2**63 per bucket.
 
     Key/timestamp requirements (ADVICE r3): keys and timestamps must be
-    integer-castable; rows where either is NULL are dropped in the tag stage
-    on BOTH sides — matching SQL inner ASOF semantics, where a null key
-    never equals anything and ``ts >= NULL`` is never true.
+    integer-castable; rows where either is NULL are dropped before the
+    shuffle on BOTH sides — matching SQL inner ASOF semantics, where a null
+    key never equals anything and ``ts >= NULL`` is never true.
     """
-    from ..stages.groupcheck import np_column_hash
-
-    n_buckets = _default_buckets(n_buckets)
     # Dataset.schema() executes the plan up to a limit-1 probe — pass the
     # schemas explicitly when an upstream shuffle would make that a full
     # second execution
@@ -163,44 +123,26 @@ def asof_join(left_ds, right_ds, *, on: str, right_on: str,
     else:
         r_schema = right_ds.schema()
         ts_type = r_schema.types[list(r_schema.names).index(right_ts)]
-    _check_reserved({"_jb", "_side", "_k", "_ts"}, l_schema, "asof_join")
-    union_schema = pa.schema(
-        [("_jb", pa.int64()), ("_side", pa.int8())]
-        + list(zip(l_schema.names, l_schema.types))
-        + [("_k", pa.int64()), ("_ts", pa.int64())])
-    payload_schema = pa.schema([(f.name, f.type) for f in union_schema
-                                if f.name not in ("_jb", "_side")])
+    _check_reserved({"_k", "_ts"}, l_schema, "asof_join")
+    l_names = list(l_schema.names)
+    keyed = [("_k", pa.int64()), ("_ts", pa.int64())]
 
-    def tag(side: int, key_col: str, ts_col: str):
-        def fn(batch: pa.Table) -> pa.Table:
+    def keyed_rows(key_col: str, ts_col: str, keep_batch: bool):
+        def prepare(batch: pa.Table) -> pa.Table:
             # drop null-key/ts rows (SQL inner-asof semantics; a null would
             # otherwise decay the compound arrays to float/object downstream)
             batch = batch.filter(pc.and_(pc.is_valid(batch[key_col]),
                                          pc.is_valid(batch[ts_col])))
-            k = batch[key_col].cast(pa.int64())
-            t = batch[ts_col].cast(pa.int64())
-            batch = batch.append_column("_k", k).append_column("_ts", t)
-            jb = (np_column_hash(k) % np.uint64(n_buckets)).astype(np.int64)
-            out = _pad_to(batch, payload_schema)
-            out = out.add_column(0, "_side", pa.array(
-                np.full(batch.num_rows, side, np.int8), pa.int8()))
-            return out.add_column(0, "_jb", pa.array(jb, pa.int64()))
-        return fn
+            return _with_columns(batch, {
+                "_k": batch[key_col].cast(pa.int64()),
+                "_ts": batch[ts_col].cast(pa.int64())}, keep_batch)
+        return prepare
 
-    tagged = left_ds.map_batches(tag(0, on, left_ts), batch_format="pyarrow",
-                                 zero_copy_batch=True).union(
-        right_ds.map_batches(tag(1, right_on, right_ts),
-                             batch_format="pyarrow", zero_copy_batch=True))
-
-    def match_bucket(group: pa.Table) -> pa.Table:
-        is_l = pc.equal(group["_side"], 0)
-        lt = group.filter(is_l)
-        rt = group.filter(pc.invert(is_l))
+    def match_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        out = lt.select(l_names)
         if lt.num_rows == 0 or rt.num_rows == 0:
-            return pa.table(
-                {n: pa.nulls(0, t)
-                 for n, t in zip(l_schema.names, l_schema.types)}
-                | {"asof_ts": pa.nulls(0, ts_type)})
+            return out.slice(0, 0).append_column("asof_ts",
+                                                 pa.nulls(0, ts_type))
         lk = lt["_k"].to_numpy()
         lts = lt["_ts"].to_numpy()
         rk = rt["_k"].to_numpy()
@@ -219,17 +161,19 @@ def asof_join(left_ds, right_ds, *, on: str, right_on: str,
         idx = np.searchsorted(comp_r, comp_l, side="right") - 1
         safe = np.clip(idx, 0, None)
         valid = (idx >= 0) & (dk_r[safe] == dk_l)
-        out = lt.select(list(l_schema.names)).filter(pa.array(valid))
         asof = pa.array(rts[safe[valid]], pa.int64()).cast(ts_type)
-        return out.append_column("asof_ts", asof)
+        return out.filter(pa.array(valid)).append_column("asof_ts", asof)
 
-    return tagged.groupby("_jb").map_groups(match_bucket,
-                                            batch_format="pyarrow")
+    return bucket_groups(
+        [(left_ds, "_k", keyed_rows(on, left_ts, True),
+          pa.schema(list(zip(l_schema.names, l_schema.types)) + keyed)),
+         (right_ds, "_k", keyed_rows(right_on, right_ts, False),
+          pa.schema(keyed))], match_bucket)
 
 
 def range_agg_join(range_ds, point_ds, *, on: str, point_on: str,
                    start: str, end: str, point_ts: str,
-                   value: str | None = None, n_buckets: int = 0,
+                   value: str | None = None,
                    range_schema: pa.Schema | None = None):
     """Distributed range (interval) aggregate join: for each range row
     ``[start, end)`` count the points of the same key whose timestamp falls
@@ -241,77 +185,47 @@ def range_agg_join(range_ds, point_ds, *, on: str, point_on: str,
     aggregate form sidesteps the row explosion of a materialized pair
     output: only |ranges| rows leave the shuffle however dense the points.
 
-    Shape: one hash-bucket groupby co-locates each key's ranges and points;
-    inside a bucket the points are lexsorted by (key, ts) once, a prefix-sum
-    built over the value column, and every interval resolved with two
-    ``np.searchsorted`` calls over a dense (key_rank, ts_rank) compound —
-    O((P+R) log P) per bucket, no Python loop. Partitioning assumption:
-    all rows of one key fit in one bucket group (see ``asof_join``).
+    Shape: one co-partitioned shuffle (``rayutil.bucket_groups``) brings
+    each key's ranges and points together; inside a bucket the points are
+    lexsorted by (key, ts) once, a prefix-sum built over the value column,
+    and every interval resolved with two ``np.searchsorted`` calls over a
+    dense (key_rank, ts_rank) compound — O((P+R) log P) per bucket, no
+    Python loop. Partitioning assumption: all rows of one key fit in one
+    bucket (see ``asof_join``).
 
     Key/timestamp requirements (ADVICE r3): keys, interval bounds and point
     timestamps must be integer-castable; rows with a NULL key or bound/ts
-    are dropped in the tag stages (a null key matches no interval in SQL,
+    are dropped before the shuffle (a null key matches no interval in SQL,
     and a null-bounded interval contains nothing).
     """
-    from ..stages.groupcheck import np_column_hash
-
-    n_buckets = _default_buckets(n_buckets)
     # see asof_join: pass range_schema to skip a full-pipeline schema probe
     r_schema = range_schema if range_schema is not None \
         else range_ds.schema()
-    _check_reserved({"_jb", "_side", "_k", "_t0", "_t1", "_pv"}, r_schema,
-                    "range_agg_join")
-    payload_schema = pa.schema(
-        list(zip(r_schema.names, r_schema.types))
-        + [("_k", pa.int64()), ("_t0", pa.int64()), ("_t1", pa.int64()),
-           ("_pv", pa.int64())])
+    _check_reserved({"_k", "_t0", "_t1", "_pv"}, r_schema, "range_agg_join")
+    r_names = list(r_schema.names)
 
-    def tag_ranges(batch: pa.Table) -> pa.Table:
+    def ranges(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(
             pc.and_(pc.is_valid(batch[on]), pc.is_valid(batch[start])),
             pc.is_valid(batch[end])))
-        k = batch[on].cast(pa.int64())
-        batch = batch.append_column("_k", k) \
+        return batch.append_column("_k", batch[on].cast(pa.int64())) \
             .append_column("_t0", batch[start].cast(pa.int64())) \
             .append_column("_t1", batch[end].cast(pa.int64()))
-        jb = (np_column_hash(k) % np.uint64(n_buckets)).astype(np.int64)
-        out = _pad_to(batch, payload_schema)
-        out = out.add_column(0, "_side", pa.array(
-            np.zeros(batch.num_rows, np.int8), pa.int8()))
-        return out.add_column(0, "_jb", pa.array(jb, pa.int64()))
 
-    def tag_points(batch: pa.Table) -> pa.Table:
+    def points(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch[point_on]),
                                      pc.is_valid(batch[point_ts])))
-        k = batch[point_on].cast(pa.int64())
         pv = batch[value].cast(pa.int64()) if value is not None \
             else pa.nulls(batch.num_rows, pa.int64())
-        pts = pa.table({"_k": k, "_t0": batch[point_ts].cast(pa.int64()),
-                        "_pv": pv})
-        jb = (np_column_hash(k) % np.uint64(n_buckets)).astype(np.int64)
-        out = _pad_to(pts, payload_schema)
-        out = out.add_column(0, "_side", pa.array(
-            np.ones(pts.num_rows, np.int8), pa.int8()))
-        return out.add_column(0, "_jb", pa.array(jb, pa.int64()))
-
-    tagged = range_ds.map_batches(tag_ranges, batch_format="pyarrow",
-                                  zero_copy_batch=True).union(
-        point_ds.map_batches(tag_points, batch_format="pyarrow",
-                             zero_copy_batch=True))
+        return pa.table({"_k": batch[point_on].cast(pa.int64()),
+                         "_t0": batch[point_ts].cast(pa.int64()),
+                         "_pv": pv})
 
     agg_names = ["n_points"] + (["sum_value"] if value is not None else [])
 
-    def agg_bucket(group: pa.Table) -> pa.Table:
-        is_r = pc.equal(group["_side"], 0)
-        rt = group.filter(is_r)
-        if rt.num_rows == 0:
-            return pa.table({n: pa.nulls(0, t)
-                             for n, t in zip(r_schema.names, r_schema.types)}
-                            | {n: pa.nulls(0, pa.int64())
-                               for n in agg_names})
-        pt = group.filter(pc.invert(is_r))
-        out = rt.select(list(r_schema.names))
-        if pt.num_rows == 0:
+    def agg_bucket(rt: pa.Table, pt: pa.Table) -> pa.Table:
+        out = rt.select(r_names)
+        if rt.num_rows == 0 or pt.num_rows == 0:
             zeros = pa.array(np.zeros(rt.num_rows, np.int64), pa.int64())
             for n in agg_names:
                 out = out.append_column(n, zeros)
@@ -345,13 +259,18 @@ def range_agg_join(range_ds, point_ds, *, on: str, point_on: str,
                                     pa.array(cum[hi] - cum[lo], pa.int64()))
         return out
 
-    return tagged.groupby("_jb").map_groups(agg_bucket,
-                                            batch_format="pyarrow")
+    keyed = [("_k", pa.int64()), ("_t0", pa.int64())]
+    return bucket_groups(
+        [(range_ds, "_k", ranges,
+          pa.schema(list(zip(r_schema.names, r_schema.types)) + keyed
+                    + [("_t1", pa.int64())])),
+         (point_ds, "_k", points,
+          pa.schema(keyed + [("_pv", pa.int64())]))], agg_bucket)
 
 
 def interval_overlap_join(a_ds, b_ds, *, on: str, a_start: str, a_end: str,
                           b_on: str | None = None, b_start: str = "",
-                          b_end: str = "", n_buckets: int = 0,
+                          b_end: str = "",
                           a_schema: pa.Schema | None = None):
     """Interval × interval OVERLAP aggregate join: for each A interval
     ``[a_start, a_end)`` count the same-key B intervals it overlaps
@@ -360,69 +279,43 @@ def interval_overlap_join(a_ds, b_ds, *, on: str, a_start: str, a_end: str,
     dense the overlap graph (a materialized pair join is quadratic in the
     worst case).
 
-    Shape (same as ``range_agg_join``): one hash-bucket groupby co-locates
-    each key's A and B rows; in-bucket the count decomposes into two
-    monotone scans — ``#(b_start < a_end) − #(b_end ≤ a_start)`` — each
+    Shape (same as ``range_agg_join``): one co-partitioned shuffle brings
+    each key's A and B rows together; in-bucket the count decomposes into
+    two monotone scans — ``#(b_start < a_end) − #(b_end ≤ a_start)`` — each
     resolved with one ``np.searchsorted`` over a dense (key_rank,
     bound_rank) compound. O((A+B) log B) per bucket, no Python loop.
-    Keys/bounds must be integer-castable and non-null (null rows dropped in
-    the tag stages, matching SQL join-predicate semantics).
+    Keys/bounds must be integer-castable and non-null (null rows dropped
+    before the shuffle, matching SQL join-predicate semantics).
 
     Intervals are interpreted as SETS: a degenerate row (``end ≤ start``,
-    the empty interval) overlaps nothing — such B rows are dropped in the
-    tag stage and such A rows report 0 (the count decomposition below is
+    the empty interval) overlaps nothing — such B rows are dropped before
+    the shuffle and such A rows report 0 (the count decomposition below is
     only valid for well-formed intervals; the raw SQL predicate
     ``b_start < a_end AND b_end > a_start`` can still fire for ill-formed
     rows, a documented divergence — review r4, third batch)."""
-    from ..stages.groupcheck import np_column_hash
-
     b_on = b_on or on
-    n_buckets = _default_buckets(n_buckets)
     schema_a = a_schema if a_schema is not None else a_ds.schema()
-    _check_reserved({"_jb", "_side", "_k", "_s", "_e"}, schema_a,
-                    "interval_overlap_join")
-    payload_schema = pa.schema(
-        list(zip(schema_a.names, schema_a.types))
-        + [("_k", pa.int64()), ("_s", pa.int64()), ("_e", pa.int64())])
+    _check_reserved({"_k", "_s", "_e"}, schema_a, "interval_overlap_join")
+    a_names = list(schema_a.names)
+    bounds = [("_k", pa.int64()), ("_s", pa.int64()), ("_e", pa.int64())]
 
-    def tag(side: int, key: str, s_col: str, e_col: str):
-        def fn(batch: pa.Table) -> pa.Table:
+    def bounded(key: str, s_col: str, e_col: str, is_a: bool):
+        def prepare(batch: pa.Table) -> pa.Table:
             batch = batch.filter(pc.and_(
                 pc.and_(pc.is_valid(batch[key]), pc.is_valid(batch[s_col])),
                 pc.is_valid(batch[e_col])))
-            if side == 1:       # empty B intervals overlap nothing
+            if not is_a:        # empty B intervals overlap nothing
                 batch = batch.filter(pc.less(batch[s_col].cast(pa.int64()),
                                              batch[e_col].cast(pa.int64())))
-            k = batch[key].cast(pa.int64())
-            body = batch if side == 0 else pa.table({})
-            t = pa.table({"_k": k, "_s": batch[s_col].cast(pa.int64()),
-                          "_e": batch[e_col].cast(pa.int64())})
-            if side == 0:
-                for n in schema_a.names:
-                    t = t.append_column(n, body[n])
-            jb = (np_column_hash(k) % np.uint64(n_buckets)).astype(np.int64)
-            out = _pad_to(t, payload_schema)
-            out = out.add_column(0, "_side", pa.array(
-                np.full(t.num_rows, side, np.int8), pa.int8()))
-            return out.add_column(0, "_jb", pa.array(jb, pa.int64()))
-        return fn
+            return _with_columns(batch, {
+                "_k": batch[key].cast(pa.int64()),
+                "_s": batch[s_col].cast(pa.int64()),
+                "_e": batch[e_col].cast(pa.int64())}, is_a)
+        return prepare
 
-    tagged = a_ds.map_batches(tag(0, on, a_start, a_end),
-                              batch_format="pyarrow",
-                              zero_copy_batch=True).union(
-        b_ds.map_batches(tag(1, b_on, b_start, b_end),
-                         batch_format="pyarrow", zero_copy_batch=True))
-
-    def agg_bucket(group: pa.Table) -> pa.Table:
-        is_a = pc.equal(group["_side"], 0)
-        at = group.filter(is_a)
-        if at.num_rows == 0:
-            return pa.table({n: pa.nulls(0, t) for n, t in
-                             zip(schema_a.names, schema_a.types)}
-                            | {"n_overlaps": pa.nulls(0, pa.int64())})
-        bt = group.filter(pc.invert(is_a))
-        out = at.select(list(schema_a.names))
-        if bt.num_rows == 0:
+    def agg_bucket(at: pa.Table, bt: pa.Table) -> pa.Table:
+        out = at.select(a_names)
+        if at.num_rows == 0 or bt.num_rows == 0:
             return out.append_column(
                 "n_overlaps",
                 pa.array(np.zeros(at.num_rows, np.int64), pa.int64()))
@@ -457,8 +350,11 @@ def interval_overlap_join(a_ds, b_ds, *, on: str, a_start: str, a_end: str,
         return out.append_column("n_overlaps",
                                  pa.array(n_ov, pa.int64()))
 
-    return tagged.groupby("_jb").map_groups(agg_bucket,
-                                            batch_format="pyarrow")
+    return bucket_groups(
+        [(a_ds, "_k", bounded(on, a_start, a_end, True),
+          pa.schema(list(zip(schema_a.names, schema_a.types)) + bounds)),
+         (b_ds, "_k", bounded(b_on, b_start, b_end, False),
+          pa.schema(bounds))], agg_bucket)
 
 
 _BLOOM_KEEP_CACHE: dict = {}
@@ -555,7 +451,7 @@ def bloom_semi_join(left_ds, right_ds, left_key: str, right_key: str,
                                zero_copy_batch=True)
 
 
-def table_diff(left_ds, right_ds, key: str, *, n_buckets: int = 0,
+def table_diff(left_ds, right_ds, key: str, *,
                left_schema: pa.Schema | None = None):
     """Distributed table DIFF by primary key: emits one row per differing
     key with ``status`` in ``{'only_left', 'only_right', 'changed'}`` plus
@@ -565,27 +461,23 @@ def table_diff(left_ds, right_ds, key: str, *, n_buckets: int = 0,
     Both sides must share one schema (pass ``left_schema`` when the sides
     are derived datasets — it is used for both, skipping schema probes).
     ``key`` must be unique per side and integer-castable; null-key rows are
-    dropped in the tag stage (a null PK identifies nothing). Column-value
+    dropped before the shuffle (a null PK identifies nothing). Column-value
     comparison is SQL ``IS DISTINCT FROM``: null == null, null != value.
 
-    Shape: one hash-bucket shuffle (all rows of a key land in one bucket),
-    then a vectorized in-bucket full-outer join + per-column equality scan;
-    ONLY differing keys leave the workers, so output is diff-scale however
-    large the inputs. 100-TB fit: equal tables cost one shuffle of the
-    compared columns and return ~nothing — prune to the columns under
-    comparison at the read for cheaper checks.
+    Shape: one co-partitioned shuffle (all rows of a key land in one
+    bucket), then a vectorized in-bucket full-outer join + per-column
+    equality scan; ONLY differing keys leave the workers, so output is
+    diff-scale however large the inputs. 100-TB fit: equal tables cost one
+    shuffle of the compared columns and return ~nothing — prune to the
+    columns under comparison at the read for cheaper checks.
     """
-    from ..stages.groupcheck import np_column_hash
-
-    n_buckets = _default_buckets(n_buckets)
     schema = left_schema if left_schema is not None else left_ds.schema()
     others = [n for n in schema.names if n != key]
     names = set(schema.names)
-    # reserve the tag/marker names AND the right-side rename suffix: a user
+    # reserve the presence markers AND the right-side rename suffix: a user
     # column literally named '<col>__r' would collide with the renamed
     # right side inside the bucket join
-    reserved = {"_jb", "_side", "_pres", "_pres_r"} \
-        | {c + "__r" for c in others}
+    reserved = {"_pres", "_pres_r"} | {c + "__r" for c in others}
     clash = reserved & names
     if clash:
         raise ValueError(f"table_diff: column names {sorted(clash)} clash "
@@ -594,32 +486,15 @@ def table_diff(left_ds, right_ds, key: str, *, n_buckets: int = 0,
                         + [(n, schema.types[schema.names.index(n)])
                            for n in others])
 
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            batch = batch.filter(pc.is_valid(batch[key]))
-            batch = batch.set_column(
-                batch.column_names.index(key), key,
-                batch[key].cast(pa.int64()))
-            jb = (np_column_hash(batch[key]) % np.uint64(n_buckets)) \
-                .astype(np.int64)
-            out = _pad_to(batch, payload)
-            out = out.add_column(0, "_side", pa.array(
-                np.full(batch.num_rows, side, np.int8), pa.int8()))
-            return out.add_column(0, "_jb", pa.array(jb, pa.int64()))
-        return fn
-
-    tagged = left_ds.map_batches(tag(0), batch_format="pyarrow",
-                                 zero_copy_batch=True).union(
-        right_ds.map_batches(tag(1), batch_format="pyarrow",
-                             zero_copy_batch=True))
+    def keyed(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_valid(batch[key]))
+        return batch.set_column(batch.column_names.index(key), key,
+                                batch[key].cast(pa.int64()))
 
     out_schema = pa.schema([(key, pa.int64()), ("status", pa.string()),
                             ("n_changed_cols", pa.int64())])
 
-    def diff_bucket(group: pa.Table) -> pa.Table:
-        is_l = pc.equal(group["_side"], 0)
-        lt = group.filter(is_l).select([key] + others)
-        rt = group.filter(pc.invert(is_l)).select([key] + others)
+    def diff_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
         ones_l = pa.array(np.ones(lt.num_rows, np.int8))
         ones_r = pa.array(np.ones(rt.num_rows, np.int8))
         lt = lt.append_column("_pres", ones_l)
@@ -646,5 +521,5 @@ def table_diff(left_ds, right_ds, key: str, *, n_buckets: int = 0,
             "n_changed_cols": np.where(pl & pr, ndiff, 0)[keep],
         }, schema=out_schema)
 
-    return tagged.groupby("_jb").map_groups(diff_bucket,
-                                            batch_format="pyarrow")
+    return bucket_groups([(left_ds, key, keyed, payload),
+                          (right_ds, key, keyed, payload)], diff_bucket)

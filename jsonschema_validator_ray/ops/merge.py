@@ -4,14 +4,14 @@ maintenance primitive every incremental ingest needs — the inverse of
 ``ops.join.table_diff``, which DERIVES a change stream from two
 snapshots).
 
-Distributed shape: ONE hash shuffle. Snapshot and changes are tagged
-into the same key-hash buckets (side 0 / side 1), so every change lands
-in the bucket holding the snapshot row it targets and the merge is a
-purely local, vectorized per-bucket reduction — the same
-``reduce_side_hash_join`` contract (``ops/join.py:35``) that makes outer
-semantics hold globally. Nothing driver-side, nothing quadratic; skewed
-keys cost what the key histogram says and can be salted upstream like
-any other bucket shuffle in this repo.
+Distributed shape: ONE co-partitioned shuffle. Snapshot and changes are
+the two sides of the multi-input ``rayutil.bucket_groups``, keyed on the
+same column, so every change lands in the bucket holding the snapshot row
+it targets and the merge is a purely local, vectorized per-bucket
+reduction — the same contract that makes ``ops.join.reduce_side_hash_join``
+outer semantics hold globally. Nothing driver-side, nothing quadratic;
+skewed keys cost what the key histogram says and can be salted upstream
+like any other bucket shuffle in this repo.
 
 At 100 TB the changes side is normally ≪ the snapshot: a future
 broadcast fast path (changes below a byte cap shipped via ``ray.put``,
@@ -22,7 +22,6 @@ here is the always-correct fallback and the one the gate proves.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -30,8 +29,7 @@ import pyarrow.compute as pc
 def apply_changes(snapshot_ds, changes_ds, *, key: str,
                   seq_col: str = "seq", op_col: str = "op",
                   snapshot_schema: pa.Schema,
-                  changes_schema: pa.Schema,
-                  n_buckets: int = 0):
+                  changes_schema: pa.Schema):
     """Apply a change stream to a snapshot; returns a Dataset with the
     snapshot's schema.
 
@@ -53,72 +51,44 @@ def apply_changes(snapshot_ds, changes_ds, *, key: str,
     Schemas are passed explicitly — the repo-wide rule: ``.schema()`` on
     a lazy Dataset executes a limit-1 probe.
     """
-    from ..rayutil import default_buckets, strip_meta
-    from ..stages.groupcheck import np_column_hash, run_starts
-    from .join import _pad_to
-
-    n_buckets = default_buckets(n_buckets)
+    from ..rayutil import bucket_groups
+    from ..stages.groupcheck import run_starts
 
     snap_names = list(snapshot_schema.names)
     for c in (key, seq_col, op_col):
         if c not in changes_schema.names:
             raise ValueError(f"changes side is missing column {c!r}")
     # fail at construction, not deep inside a worker: a snapshot column
-    # named like the version/op columns (or the internal tags) would make
-    # the union layout carry duplicate field names and the in-bucket
-    # select/sort ambiguous
-    clash = {seq_col, op_col, "_jb", "_side"} & set(snap_names)
+    # named like the version/op columns would make the changes layout
+    # carry duplicate field names and the in-bucket select/sort ambiguous
+    clash = {seq_col, op_col} & set(snap_names)
     if clash:
         raise ValueError(
             f"snapshot columns collide with reserved names: {sorted(clash)}"
             f" (rename them or pass different seq_col/op_col)")
-    # union layout: _jb, _side, snapshot cols, then seq/op (null on the
-    # snapshot side)
-    union_schema = pa.schema(
-        [("_jb", pa.int64()), ("_side", pa.int8())]
-        + list(zip(snapshot_schema.names, snapshot_schema.types))
+    # the changes side in the snapshot's types, plus seq/op
+    ch_layout = pa.schema(
+        list(zip(snapshot_schema.names, snapshot_schema.types))
         + [(seq_col, changes_schema.field(seq_col).type),
            (op_col, changes_schema.field(op_col).type)])
-    pad_schema = pa.schema([(n, t) for n, t in zip(union_schema.names,
-                                                   union_schema.types)
-                            if n not in ("_jb", "_side")])
 
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            if side == 1:
-                if batch[key].null_count:
-                    batch = batch.filter(pc.is_valid(batch[key]))
-                # loud op-domain check: anything that isn't exactly
-                # "U"/"D" (incl. null) would otherwise win the
-                # latest-per-key race and silently DELETE the target row
-                bad = pc.invert(pc.is_in(
-                    batch[op_col],
-                    value_set=pa.array(["U", "D"]))).fill_null(True)
-                if pc.any(bad).as_py():
-                    n_bad = pc.sum(pc.cast(bad, pa.int64())).as_py()
-                    raise ValueError(
-                        f"{n_bad} change row(s) carry an op outside"
-                        f" {{'U','D'}} (nulls included) — refusing to"
-                        f" merge a malformed change stream")
-            jb = (np_column_hash(batch[key]) % np.uint64(n_buckets)) \
-                .astype(np.int64)
-            out = _pad_to(batch, pad_schema)
-            out = out.add_column(0, "_side", pa.array(
-                np.full(batch.num_rows, side, np.int8), pa.int8()))
-            return strip_meta(
-                out.add_column(0, "_jb", pa.array(jb, pa.int64())))
-        return fn
+    def checked_changes(batch: pa.Table) -> pa.Table:
+        if batch[key].null_count:
+            batch = batch.filter(pc.is_valid(batch[key]))
+        # loud op-domain check: anything that isn't exactly "U"/"D" (incl.
+        # null) would otherwise win the latest-per-key race and silently
+        # DELETE the target row
+        bad = pc.invert(pc.is_in(
+            batch[op_col], value_set=pa.array(["U", "D"]))).fill_null(True)
+        if pc.any(bad).as_py():
+            n_bad = pc.sum(pc.cast(bad, pa.int64())).as_py()
+            raise ValueError(
+                f"{n_bad} change row(s) carry an op outside {{'U','D'}}"
+                f" (nulls included) — refusing to merge a malformed change"
+                f" stream")
+        return batch
 
-    tagged = snapshot_ds.map_batches(tag(0), batch_format="pyarrow",
-                                     zero_copy_batch=True).union(
-        changes_ds.map_batches(tag(1), batch_format="pyarrow",
-                               zero_copy_batch=True))
-
-    def merge_bucket(group: pa.Table) -> pa.Table:
-        is_snap = pc.equal(group["_side"], 0)
-        snap = group.filter(is_snap).select(snap_names)
-        ch = group.filter(pc.invert(is_snap)) \
-            .select(snap_names + [seq_col, op_col])
+    def merge_bucket(snap: pa.Table, ch: pa.Table) -> pa.Table:
         if ch.num_rows == 0:
             return snap
         # latest change per key: sort (key asc, seq desc, op desc), keep
@@ -133,9 +103,8 @@ def apply_changes(snapshot_ds, changes_ds, *, key: str,
             pc.invert(pc.is_in(snap[key], value_set=touched)))
         ups = latest.filter(
             pc.not_equal(latest[op_col], "D")).select(snap_names)
-        return pa.concat_tables(
-            [kept, ups.cast(pa.schema(list(zip(snapshot_schema.names,
-                                               snapshot_schema.types))))])
+        return pa.concat_tables([kept, ups])
 
-    return tagged.groupby("_jb").map_groups(merge_bucket,
-                                            batch_format="pyarrow")
+    return bucket_groups([(snapshot_ds, key, None, snapshot_schema),
+                          (changes_ds, key, checked_changes, ch_layout)],
+                         merge_bucket)

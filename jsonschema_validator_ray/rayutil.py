@@ -17,8 +17,9 @@ instead.
 block refs; :func:`collect_partials` (and :func:`fold_partials` on top of it)
 fetches those blocks. Every operator collects through them, so the
 materialize-first rule and the worker-import probe live here only.
-:func:`bucket_groups` is likewise the one keyed hash-bucket shuffle of the
-grouped operators.
+:func:`bucket_groups` is likewise the one keyed hash-bucket shuffle: of the
+single-input grouped operators, and, in its multi-input form, of the
+co-partitioned joins, merges and dedups whose sides meet per bucket.
 """
 
 from __future__ import annotations
@@ -93,6 +94,16 @@ def strip_meta(t):
     return t.replace_schema_metadata(None) if t.schema.metadata else t
 
 
+def pad_to(batch, schema):
+    """``batch`` laid out as ``schema``: columns taken by name and cast to
+    the schema's types, missing ones null-filled, extra ones dropped."""
+    import pyarrow as pa
+
+    cols = [batch[f.name].cast(f.type) if f.name in batch.column_names
+            else pa.nulls(batch.num_rows, f.type) for f in schema]
+    return pa.table(cols, schema=schema)
+
+
 def quiet_empty_partition_warnings() -> None:
     """Suppress Ray Data's 'RefBundle with a different schema' WARNING for
     the benign empty-partition case ONLY.
@@ -134,14 +145,11 @@ def avail_cpus() -> int:
         if ray.is_initialized() else 4
 
 
-def default_buckets(n_buckets: int = 0) -> int:
-    """Shared hash-bucket count policy: an explicit positive value wins,
-    otherwise ~4 buckets per available CPU (whole-group-per-bucket shuffles
-    want enough buckets to spread skew but not so many that per-group task
-    overhead dominates). The single definition for every bucketed operator
-    (review r4 — five copies drifted before this)."""
-    if n_buckets > 0:
-        return n_buckets
+def default_buckets() -> int:
+    """Shared hash-bucket count policy: ~4 buckets per available CPU
+    (whole-group-per-bucket shuffles want enough buckets to spread skew but
+    not so many that per-group task overhead dominates). The single
+    definition for every bucketed operator."""
     return 4 * avail_cpus()
 
 
@@ -164,30 +172,105 @@ def bucket_tagger(key: str, n_buckets: int, prepare=None):
     return tag
 
 
-def bucket_groups(ds, key: str, per_bucket, *, prepare=None, columns=None):
-    """The keyed hash-bucket shuffle of every single-input grouped
-    operator: project to ``columns`` (when given), tag each batch with
+def bucket_groups(ds, key, per_bucket=None, *, prepare=None, columns=None):
+    """The keyed hash-bucket shuffle. Every key's rows meet in one bucket;
+    the bucket count is :func:`default_buckets` and results never depend
+    on it.
+
+    **Single input** ``bucket_groups(ds, key, per_bucket, prepare=,
+    columns=)``: project to ``columns`` (when given), tag each batch with
     :func:`bucket_tagger` in ONE ``map_batches`` (``prepare`` runs there,
-    before the hash), then one ``groupby`` on ``_bucket`` + ``map_groups``
-    — every key's rows meet in one bucket, which reaches ``per_bucket``
-    with the ``_bucket`` column already dropped. The bucket count is
-    :func:`default_buckets`; results never depend on it. Installs
-    :func:`quiet_empty_partition_warnings`: buckets outnumber the groups of
-    a small input, and each empty one would log a schema WARNING."""
+    before the hash), then one ``groupby`` on ``_bucket`` + ``map_groups``;
+    each bucket reaches ``per_bucket`` with ``_bucket`` already dropped.
+
+    **Multi input** ``bucket_groups(sides, per_bucket)``: ``sides`` is a
+    list of ``(ds, key, prepare, schema)``, where ``schema`` is the layout
+    ``prepare`` (or, when None, the side itself) produces. Each side is
+    tagged in its own ``map_batches``, padded to the union of the side
+    layouts (:func:`pad_to`; a name shared by several sides takes the first
+    side's type) and marked with its ``_side`` index; the sides are
+    ``union``-ed and share the one ``groupby``. Equal keys of all sides
+    therefore meet in one bucket, and ``per_bucket(*tables)`` gets one
+    table per side with exactly that side's ``schema``: a side with no rows
+    in the bucket arrives as a zero-row table. A side schema carrying
+    ``_bucket`` or ``_side``, or missing its key, raises ``ValueError``
+    before any Ray work.
+
+    Installs :func:`quiet_empty_partition_warnings`: buckets outnumber the
+    groups of a small input, and each empty one would log a schema
+    WARNING."""
     import functools
 
+    if isinstance(ds, list):
+        tagged, split = _tag_sides(ds)
+        per_bucket = key
+    else:
+        if columns is not None:
+            ds = ds.select_columns(list(dict.fromkeys(columns)))
+        tagged = ds.map_batches(bucket_tagger(key, default_buckets(), prepare),
+                                batch_format="pyarrow", zero_copy_batch=True)
+
+        def split(group):
+            return (group.drop_columns(["_bucket"]),)
     ensure_worker_importable()
     quiet_empty_partition_warnings()
-    if columns is not None:
-        ds = ds.select_columns(list(dict.fromkeys(columns)))
 
     @functools.wraps(per_bucket)     # Ray names the operator after the op
     def untagged(group):
-        return per_bucket(group.drop_columns(["_bucket"]))
+        return per_bucket(*split(group))
 
-    return ds.map_batches(bucket_tagger(key, default_buckets(), prepare),
-                          batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("_bucket").map_groups(untagged, batch_format="pyarrow")
+    return tagged.groupby("_bucket").map_groups(untagged,
+                                                batch_format="pyarrow")
+
+
+def _tag_sides(sides):
+    """Map side of the multi-input :func:`bucket_groups`: the union of the
+    tagged sides, and the function that splits a bucket back into them."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    schemas = []
+    for _ds, key, _prepare, schema in sides:
+        schema = getattr(schema, "base_schema", schema)  # ray Schema -> Arrow
+        schema = pa.schema(list(zip(schema.names, schema.types)))
+        clash = sorted({"_bucket", "_side"} & set(schema.names))
+        if clash:
+            raise ValueError(f"bucket_groups: input columns {clash} clash "
+                             "with the shuffle's reserved columns "
+                             "['_bucket', '_side']")
+        if key not in schema.names:
+            raise ValueError(f"bucket_groups: key {key!r} is not a column "
+                             f"of its side {schema.names}")
+        schemas.append(schema)
+    layout: dict = {}
+    for schema in schemas:
+        for f in schema:
+            layout.setdefault(f.name, f.type)
+    layout = pa.schema(list(layout.items()) + [("_bucket", pa.int64())])
+    n_buckets = default_buckets()
+
+    def side_tagger(i, key, prepare):
+        tag = bucket_tagger(key, n_buckets, prepare)
+
+        def tag_side(batch):
+            t = pad_to(tag(batch), layout)
+            return t.append_column("_side", pa.array(
+                np.full(t.num_rows, i, np.int8), pa.int8()))
+        return tag_side
+
+    tagged = [ds.map_batches(side_tagger(i, key, prepare),
+                             batch_format="pyarrow", zero_copy_batch=True)
+              for i, (ds, key, prepare, _schema) in enumerate(sides)]
+
+    def split(group):
+        side = group["_side"]
+        return tuple(
+            group.filter(pc.equal(side, pa.scalar(i, pa.int8())))
+            .select(schema.names).cast(schema)
+            for i, schema in enumerate(schemas))
+
+    return tagged[0].union(*tagged[1:]), split
 
 
 def block_refs(ds):

@@ -227,8 +227,7 @@ def union_by_name(datasets, schemas):
     union itself is metadata-only, so inputs stream independently."""
     import pyarrow as pa
 
-    from ..ops.join import _pad_to
-    from ..rayutil import strip_meta
+    from ..rayutil import pad_to, strip_meta
 
     if not datasets or len(datasets) != len(schemas):
         raise ValueError("need one explicit schema per dataset")
@@ -244,7 +243,7 @@ def union_by_name(datasets, schemas):
     superset = pa.schema(list(fields.items()))
 
     def pad(batch: pa.Table) -> pa.Table:
-        return strip_meta(_pad_to(batch, superset))
+        return strip_meta(pad_to(batch, superset))
 
     padded = [d.map_batches(pad, batch_format="pyarrow",
                             zero_copy_batch=True) for d in datasets]

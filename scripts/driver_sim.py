@@ -4,11 +4,14 @@ Runs in a FRESH process: ray.init() first, then import __ray_entry__ by file
 path (exactly the driver's order — workers never see the repo on PYTHONPATH),
 then every queries() entry vs its oracle_sql() DuckDB result at the given sf,
 with per-query wall time and a per-query try/except so one failure can never
-blank the artifact. Writes /tmp/driver_sim_correctness.json.
+blank the artifact. Writes /tmp/driver_sim_correctness.json, which also holds
+the sha256 of every normalized result: two checkouts compare result for
+result, oracle or not.
 
 Usage: python scripts/driver_sim.py [sf_dir] [--sf0.001]
 """
 
+import hashlib
 import json
 import math
 import os
@@ -48,6 +51,16 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(by=list(df.columns)).reset_index(drop=True)
 
 
+def digest(df: pd.DataFrame) -> str:
+    """sha256 of the normalized result's CSV text; results whose cells do
+    not order (lists, arrays) are hashed in the row order returned."""
+    try:
+        df = normalize(df)
+    except Exception:  # noqa: BLE001
+        df = df[sorted(df.columns)]
+    return hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()
+
+
 def values_match(a: pd.DataFrame, b: pd.DataFrame) -> bool:
     for col in a.columns:
         for x, y in zip(a[col].tolist(), b[col].tolist()):
@@ -78,6 +91,7 @@ for name, q in queries.items():
         rdf = out.to_pandas() if hasattr(out, "to_pandas") else out
         rec["wall_s"] = round(time.time() - t0, 3)
         rec["n_rows"] = int(len(rdf))
+        rec["sha256"] = digest(rdf)
         if name in oracles:
             odf = con.execute(oracles[name]).df()
             a, b = normalize(rdf), normalize(odf)

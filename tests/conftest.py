@@ -41,7 +41,7 @@ def one_bucket(monkeypatch):
     bucket, so all groups meet in the same in-bucket pass."""
     from jsonschema_validator_ray import rayutil
 
-    monkeypatch.setattr(rayutil, "default_buckets", lambda n_buckets=0: 1)
+    monkeypatch.setattr(rayutil, "default_buckets", lambda: 1)
 
 
 @pytest.fixture(scope="session")

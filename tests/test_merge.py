@@ -32,8 +32,7 @@ def _run(snap_rows, ch_rows):
     out = apply_changes(
         ray.data.from_arrow(snap).repartition(2),
         ray.data.from_arrow(ch).repartition(2),
-        key="k", snapshot_schema=SNAP_SCHEMA, changes_schema=CH_SCHEMA,
-        n_buckets=4)
+        key="k", snapshot_schema=SNAP_SCHEMA, changes_schema=CH_SCHEMA)
     return sorted((r["k"], r["v"], r["x"]) for r in out.take_all())
 
 
@@ -77,7 +76,7 @@ def test_null_keyed_changes_dropped(ray_session):
     out = apply_changes(ray.data.from_arrow(snap_t),
                         ray.data.from_arrow(ch_t),
                         key="k", snapshot_schema=SNAP_SCHEMA,
-                        changes_schema=CH_SCHEMA, n_buckets=2)
+                        changes_schema=CH_SCHEMA)
     assert sorted((r["k"], r["v"]) for r in out.take_all()) == [(1, "a")]
 
 
@@ -92,8 +91,8 @@ def test_changes_only_bucket_inserts(ray_session):
 
 
 def test_reserved_name_collision_raises():
-    """A snapshot column named like seq/op/_jb/_side fails loudly at
-    construction, not deep inside a worker."""
+    """A snapshot column named like seq/op fails loudly at construction,
+    not deep inside a worker."""
     import pytest
 
     from jsonschema_validator_ray.ops.merge import apply_changes
@@ -124,7 +123,7 @@ def test_malformed_op_raises(ray_session):
     out = apply_changes(ray.data.from_arrow(snap_t),
                         ray.data.from_arrow(ch_t),
                         key="k", snapshot_schema=SNAP_SCHEMA,
-                        changes_schema=CH_SCHEMA, n_buckets=2)
+                        changes_schema=CH_SCHEMA)
     with pytest.raises(Exception, match="op outside"):
         out.take_all()
 

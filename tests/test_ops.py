@@ -653,7 +653,7 @@ def test_ngram_jaccard_hot_gram_bounded(ray_session):
         "text": pa.array(texts)}))
 
     hot_tbl = ngram_hot_grams(ngram_gram_blobs(ds, "doc_id", "text", 3),
-                              hot_df=64, n_buckets=16)
+                              hot_df=64)
     assert hot_tbl.num_rows >= 1              # the shared gram is hot
 
     out = ngram_jaccard_near_duplicates(ds, "doc_id", "text", n=3,
@@ -1022,11 +1022,28 @@ def test_left_outer_reduce_side_join(ray_session):
     out = pa.concat_tables(
         collect_partials(reduce_side_hash_join(
             ray.data.from_arrow(left), ray.data.from_arrow(right), "k",
-            join_type="left outer", n_buckets=3),
+            join_type="left outer"),
             keep_empty=True)).sort_by(
         [("k", "ascending"), ("rv", "ascending")])
     assert out["k"].to_pylist() == [1, 2, 3, 4, 4]
     assert out["rv"].to_pylist() == [None, 200, None, 400, 401]
+
+
+def test_reduce_side_join_reserved_column_raises(ray_session):
+    """A side carrying the shuffle's own ``_side`` tag column raises
+    ValueError before any Ray work, instead of the tag silently
+    overwriting the user's values."""
+    import ray
+
+    from jsonschema_validator_ray.ops.join import reduce_side_hash_join
+
+    left = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
+                     "_side": pa.array([7, 8, 9], pa.int64())})
+    right = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
+                      "rv": pa.array([10, 20, 30], pa.int64())})
+    with pytest.raises(ValueError, match=r"\['_side'\]"):
+        reduce_side_hash_join(ray.data.from_arrow(left),
+                              ray.data.from_arrow(right), "k")
 
 
 def test_word_repetition_edges(ray_session):
@@ -1116,7 +1133,7 @@ def test_inverted_index_and_search(ray_session):
     t2 = pa.table({"doc_id": pa.array([3], pa.int64()),
                    "text": pa.array(["a c  c"])})
     ds = ray.data.from_arrow(t1).union(ray.data.from_arrow(t2))
-    idx = build_inverted_index(ds, n_buckets=5).materialize()
+    idx = build_inverted_index(ds).materialize()
     rows = {}
     for t in collect_partials(idx, keep_empty=True):
         if t.num_rows and "term" in t.column_names:

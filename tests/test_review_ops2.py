@@ -308,27 +308,134 @@ def test_transcript_ops_ignore_wide_unused_column(ray_session, monkeypatch):
 
 def test_bucket_shuffle_only_in_rayutil():
     """rayutil.bucket_groups is the one keyed hash-bucket shuffle of the
-    grouped ops: no module re-tags batches or groups on ``_bucket`` by
-    hand, and no grouped op takes a bucket count."""
+    grouped ops and of the co-partitioned joins, merge, index and keyed
+    dedups: no module re-tags batches, unions sides or groups on a hash tag
+    by hand, and no such op takes a bucket count."""
     import inspect
     import pathlib
     import re
 
-    from jsonschema_validator_ray.ops import aggregates, sampling, stats, text
+    from jsonschema_validator_ray import rayutil
+    from jsonschema_validator_ray.ops import (aggregates, dedup, index, join,
+                                              merge, sampling, stats, text)
 
     pkg = pathlib.Path(__file__).resolve().parent.parent \
         / "jsonschema_validator_ray"
     assert (pkg / "rayutil.py").read_text().count('groupby("_bucket")') == 1
+    assert not inspect.signature(rayutil.default_buckets).parameters
+
+    def public_functions(mod):
+        return [(name, fn) for name, fn
+                in inspect.getmembers(mod, inspect.isfunction)
+                if fn.__module__ == mod.__name__ and not name.startswith("_")]
+
     for mod in (aggregates, sampling, stats, text):
         src = pathlib.Path(mod.__file__).read_text()
         for banned in ('groupby("_bucket")', "% np.uint64(n_buckets)",
                        '"_bucket"', "np_column_hash"):
             assert banned not in src, (mod.__name__, banned)
         assert not re.search(r"\bn_buckets\b", src), mod.__name__
-        for name, fn in inspect.getmembers(mod, inspect.isfunction):
-            if fn.__module__ == mod.__name__:
+        for name, fn in public_functions(mod):
+            assert "n_buckets" not in inspect.signature(fn).parameters, name
+    sources = [(mod.__name__, pathlib.Path(mod.__file__).read_text())
+               for mod in (join, merge, index)] \
+        + [(fn.__name__, inspect.getsource(fn))
+           for fn in (dedup.dedup_against_snapshot, dedup.chunk_dedup)]
+    for name, src in sources:
+        for banned in ("groupby(", '"_jb"', '"_side"', "np_column_hash",
+                       ".union(", "n_buckets"):
+            assert banned not in src, (name, banned)
+    # connected_components' raw-task buckets are a partition count, not a
+    # column-hash shuffle
+    for mod in (join, merge, index, dedup):
+        for name, fn in public_functions(mod):
+            if name != "connected_components":
                 assert "n_buckets" not in inspect.signature(fn).parameters, \
-                    name
+                    (mod.__name__, name)
+
+
+def _routed_shuffles():
+    """One small call per op on the co-partitioned or keyed shuffles of
+    ops/join.py, ops/merge.py, ops/index.py and the keyed dedups; each
+    returns its collected output sorted by every column."""
+    import ray.data
+
+    from jsonschema_validator_ray.ops import dedup, index, join, merge
+
+    rng = np.random.default_rng(5)
+    n = 300
+    left = pa.table({"k": rng.integers(0, 40, n), "lv": np.arange(n)})
+    right = pa.table({"k": rng.integers(0, 50, n), "rv": np.arange(n)})
+    events = pa.table({"uid": rng.integers(0, 25, n),
+                       "ts": rng.integers(0, 1000, n), "eid": np.arange(n)})
+    orders = pa.table({"cid": rng.integers(0, 30, n),
+                       "ots": rng.integers(0, 1000, n)})
+    starts = rng.integers(0, 500, 80)
+    ranges = pa.table({"uid": rng.integers(0, 25, 80), "s": starts,
+                       "e": starts + rng.integers(0, 300, 80),
+                       "rid": np.arange(80)})
+    snap = pa.table({"k": np.arange(150), "v": rng.integers(0, 3, 150)})
+    other = pa.table({"k": np.arange(40, 190),
+                      "v": rng.integers(0, 3, 150)})
+    changes = pa.table({"k": rng.integers(0, 200, 120),
+                        "v": rng.integers(0, 9, 120),
+                        "seq": rng.integers(0, 4, 120),
+                        "op": rng.choice(["U", "D"], 120)})
+    words = ["a", "b", "c", "d", "e"]
+    docs = pa.table({"doc_id": np.arange(90),
+                     "text": [" ".join(rng.choice(words, 6))
+                              for _ in range(90)]})
+    old_docs = pa.table({"doc_id": np.arange(30),
+                         "text": docs["text"].to_pylist()[::3]})
+
+    def ds(t, blocks=3):
+        return ray.data.from_arrow(t).repartition(blocks)
+
+    return {
+        "reduce_side_hash_join": lambda: join.reduce_side_hash_join(
+            ds(left), ds(right), "k", join_type="full outer"),
+        "asof_join": lambda: join.asof_join(
+            ds(events), ds(orders), on="uid", right_on="cid", left_ts="ts",
+            right_ts="ots"),
+        "range_agg_join": lambda: join.range_agg_join(
+            ds(ranges), ds(orders), on="uid", point_on="cid", start="s",
+            end="e", point_ts="ots", value="ots"),
+        "interval_overlap_join": lambda: join.interval_overlap_join(
+            ds(ranges), ds(ranges, 2), on="uid", a_start="s", a_end="e",
+            b_start="s", b_end="e"),
+        "table_diff": lambda: join.table_diff(ds(snap), ds(other), "k"),
+        "apply_changes": lambda: merge.apply_changes(
+            ds(snap), ds(changes), key="k", snapshot_schema=snap.schema,
+            changes_schema=changes.schema),
+        "build_inverted_index": lambda: index.build_inverted_index(
+            ds(docs)),
+        "dedup_against_snapshot_shuffle": lambda: dedup
+        .dedup_against_snapshot(ds(docs), ds(old_docs), "doc_id", "text",
+                                route="shuffle"),
+        "chunk_dedup": lambda: dedup.chunk_dedup(ds(docs), "doc_id",
+                                                 "text", window=2),
+    }
+
+
+@pytest.mark.parametrize("op", [
+    "apply_changes", "asof_join", "build_inverted_index", "chunk_dedup",
+    "dedup_against_snapshot_shuffle", "interval_overlap_join",
+    "range_agg_join", "reduce_side_hash_join", "table_diff"])
+def test_routed_shuffles_do_not_depend_on_bucket_count(ray_session, request,
+                                                       op):
+    """Each op's output at the default bucket count equals its output with
+    every key in one bucket (chunk_dedup covers both of its shuffles)."""
+    def run():
+        t = pa.concat_tables(
+            b for b in collect_partials(_routed_shuffles()[op]())
+            if b.num_columns)
+        return t.sort_by([(c, "ascending") for c in t.column_names])
+
+    want = run()
+    request.getfixturevalue("one_bucket")
+    got = run()
+    assert want.num_rows > 0
+    assert got.equals(want)
 
 
 def test_no_ray_builtin_aggregates():

@@ -13,7 +13,8 @@ from jsonschema_validator_ray.ops.aggregates import grouped_aggregate
 from jsonschema_validator_ray.ops.index import term_search
 from jsonschema_validator_ray.ops.join import (asof_join,
                                                interval_overlap_join,
-                                               range_agg_join)
+                                               range_agg_join,
+                                               reduce_side_hash_join)
 from jsonschema_validator_ray.state.bloom import BloomFilter
 from jsonschema_validator_ray.state.hll import HyperLogLog
 
@@ -29,6 +30,11 @@ CASES = {
     "interval_overlap_join_reserved": (lambda: interval_overlap_join(
         None, None, on="k", a_start="s", a_end="e", b_start="s", b_end="e",
         a_schema=pa.schema([("_s", pa.int64())])), r"\['_s'\]"),
+    "reduce_side_hash_join_reserved": (lambda: reduce_side_hash_join(
+        None, None, "k",
+        left_schema=pa.schema([("k", pa.int64()), ("_side", pa.int64())]),
+        right_schema=pa.schema([("k", pa.int64()), ("v", pa.int64())])),
+        r"\['_side'\]"),
     "term_search_mode": (lambda: term_search(None, ["a"], mode="xor"),
                          "'xor'"),
     "row_validator_mode": (lambda: make_row_validator(None, mode="fast"),
