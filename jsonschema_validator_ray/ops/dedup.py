@@ -1,21 +1,22 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram Jaccard
 verification, embedding-cosine near-dup.
 
-Scale shapes (nothing here materializes the corpus on the driver):
+Scale shapes (nothing here materializes the corpus on the driver). Every
+keyed shuffle is ``rayutil.bucket_groups``; the per-bucket functions scan
+their rows by key, so any number of keys may share a bucket.
 
-- exact: vectorized 128-bit content hash per batch (map_batches) →
-  groupby(hash) shuffle of the HASH + id only (never the payload) →
-  keeper = min id per group.
+- exact: vectorized 128-bit content hash per batch → grouped aggregate of
+  the HASH + id only (never the payload) → keeper = min id per group.
 - MinHash LSH: vectorized shingle→minhash signatures per batch →
-  band rows (band, band_hash, id + a folded 1-byte/perm prefilter sketch) →
-  DISTRIBUTED partition-bucket groupby emits candidate pairs →
-  distributed pair dedup (groupby) → distributed exact-Jaccard verify via a
-  reduce-side join: pairs stay a Dataset, vp assignment happens in
-  map_batches, and doc→partition routing is a broadcast semi-join over
-  object-store block refs. NOTHING pair- or corpus-scale touches the driver.
+  band rows (band, band_hash, id + a folded 1-byte/perm prefilter sketch)
+  shuffled on band_hash, each bucket emitting its candidate pairs →
+  distributed exact-Jaccard verify (``_jaccard_verify_pairs``), which
+  uniques the pairs itself: they stay a Dataset, and the candidate docs'
+  sets meet them through object-store block refs or, past a broadcast,
+  two shuffles. NOTHING pair- or corpus-scale touches the driver.
 - SimHash: 64-bit charged-bit signature per doc; 4×16-bit band LSH rows carry
   the 8-byte signature, so candidate verification (Hamming distance) happens
-  inside the same distributed band groupby — no separate verify join.
+  inside the same band shuffle — no separate verify join.
 - embedding near-dup: exact all-pairs over BLOCKS — the normalized block
   matrices stay in the object store; one Ray task per block pair computes a
   blocked matmul. O(B²) tasks: exact and oracle-checkable. The approximate
@@ -30,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..rayutil import block_refs, collect_partials
+from ..stages.groupcheck import run_starts
 from ..state.hll import hash64, hash_pair128
 from .aggregates import grouped_aggregate
 
@@ -205,9 +207,8 @@ def _fold_bands(sig_mat: np.ndarray, bands: int) -> np.ndarray:
 
 
 def minhash_signatures(ds, id_column: str, text_column: str,
-                       n_perms: int = 128, k: int = 5, concurrency=None):
-    """Dataset of (id, signature binary) — one vectorized pass per batch.
-    ``concurrency`` (int) caps concurrent tasks; None lets Ray schedule."""
+                       n_perms: int = 128, k: int = 5):
+    """Dataset of (id, signature binary) — one vectorized pass per batch."""
 
     class SignatureStage:
         def __init__(self):
@@ -234,9 +235,8 @@ def minhash_signatures(ds, id_column: str, text_column: str,
     # Ray BUNDLE the _spread_blocks output back into fewer, larger tasks
     # (measured: 64 spread blocks → ~20 tasks at batch_size=256), starving
     # the compute-dense signature stage.
-    kw = {"concurrency": concurrency} if concurrency is not None else {}
     return ds.map_batches(SignatureStage(), batch_format="pyarrow",
-                          batch_size=None, **kw)
+                          batch_size=None)
 
 
 def _spread_blocks(ds, min_blocks: int):
@@ -251,16 +251,17 @@ def _spread_blocks(ds, min_blocks: int):
     return ds
 
 
-def minhash_band_rows(sigs_ds, id_column: str, n_perms: int, bands: int,
-                      carry_signature: bool = True):
-    """Signatures → band rows (pb, band, band_hash, id[, sig8]).
+def _minhash_band_rows(id_column: str, n_perms: int, bands: int,
+                       carry_signature: bool = True):
+    """Batch function: signatures → band rows (band, band_hash, id[, sig8]).
 
     ``carry_signature=True`` ships a FOLDED 1-byte-per-perm sketch (``sig8``,
     n_perms bytes) on every band row so the bucket stage can run the
     signature-estimate PREFILTER before emitting pairs — on low-entropy
     corpora LSH buckets alone can flag a large fraction of all pairs
     (measured: 954k candidate pairs from 5k docs), and pruning them before
-    the pair-dedup shuffle is the difference between seconds and minutes.
+    they are staged for the verify is the difference between seconds and
+    minutes.
 
     The byte fold cuts shuffle volume 8x vs carrying the raw 8-byte-per-perm
     signature (measured: the full-signature carry was ~14 s of a 15 s wall
@@ -269,14 +270,9 @@ def minhash_band_rows(sigs_ds, id_column: str, n_perms: int, bands: int,
     estimate ≥ the exact estimate pointwise — no pair the exact prefilter
     would keep is ever dropped, and exact verification makes the final
     output identical."""
-    from ..rayutil import default_buckets
-
-    n_buckets = default_buckets()
-
     def expand(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         cols = {
-            "pb": pa.array([], pa.int64()),
             "band": pa.array([], pa.int32()),
             "band_hash": pa.array([], pa.int64()),
             id_column: pa.array([], pa.int64()),
@@ -292,16 +288,13 @@ def minhash_band_rows(sigs_ds, id_column: str, n_perms: int, bands: int,
         sig_mat = np.frombuffer(b"".join(sig_list),
                                 np.uint64).reshape(n, n_perms)
         bh = _fold_bands(sig_mat, bands)                      # (n, bands)
-        band_idx = np.broadcast_to(np.arange(bands, dtype=np.uint64),
+        band_idx = np.broadcast_to(np.arange(bands, dtype=np.int32),
                                    (n, bands))
-        pb = ((bh * np.uint64(0x9E3779B97F4A7C15) + band_idx)
-              % np.uint64(n_buckets)).astype(np.int64)
         ids = np.repeat(
             batch[id_column].combine_chunks().to_numpy(zero_copy_only=False)
             .astype(np.int64), bands)
         cols = {
-            "pb": pa.array(pb.ravel(), pa.int64()),
-            "band": pa.array(band_idx.astype(np.int32).ravel(), pa.int32()),
+            "band": pa.array(band_idx.ravel(), pa.int32()),
             "band_hash": pa.array(bh.astype(np.int64).ravel(), pa.int64()),
             id_column: pa.array(ids, pa.int64()),
         }
@@ -313,40 +306,25 @@ def minhash_band_rows(sigs_ds, id_column: str, n_perms: int, bands: int,
                 [s for s in sig8_bytes for _ in range(bands)], pa.binary())
         return pa.table(cols)
 
-    return sigs_ds.map_batches(expand, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    return expand
 
 
-def _pair_bucket(a: np.ndarray, b: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Deterministic pair-hash bucket — the SAME function in every task."""
+def _pair_part(a: np.ndarray, b: np.ndarray, n_parts: int) -> np.ndarray:
+    """Verify partition of each (a, b) pair — the SAME function in every
+    task."""
     return (((a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
              ^ (b.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)))
-            % np.uint64(n_buckets)).astype(np.int64)
-
-
-def _dedup_pairs(pairs_ds):
-    """Distributed pair dedup: groupby the single int ``pb2`` pair-hash
-    bucket + vectorized in-group np.unique. Ray's groupby on the raw
-    (id_a, id_b) composite key measured 5-8x slower at ~1M pairs."""
-    def uniq(group: pa.Table) -> pa.Table:
-        a = group["id_a"].combine_chunks().to_numpy(zero_copy_only=False)
-        b = group["id_b"].combine_chunks().to_numpy(zero_copy_only=False)
-        ua, ub = _unique_rows2(a.astype(np.int64), b.astype(np.int64))
-        return pa.table({"id_a": pa.array(ua, pa.int64()),
-                         "id_b": pa.array(ub, pa.int64())})
-
-    return pairs_ds.groupby("pb2").map_groups(uniq, batch_format="pyarrow")
+            % np.uint64(n_parts)).astype(np.int64)
 
 
 def _emit_bucket_pairs(id_column: str, n_perms: int = 0,
-                       est_threshold: float = 0.0,
-                       n_buckets: int = 64):
-    """map_groups fn over one partition bucket (pb): vectorized sort + run
-    scan over (band, band_hash); same (band, band_hash) run ⇒ candidate
-    pairs, vectorized triu pair generation per run. When the group carries
+                       est_threshold: float = 0.0):
+    """Per-bucket fn of the band shuffle: vectorized sort + run scan over
+    (band, band_hash); same (band, band_hash) run ⇒ candidate pairs,
+    vectorized triu pair generation per run. When the bucket carries
     folded ``sig8`` sketches, pairs failing the signature-estimate prefilter
     (est(J) < est_threshold, σ ≈ 1/√n_perms) are dropped HERE — before any
-    pair ever hits the dedup shuffle."""
+    pair is staged for the verify."""
     def emit(group: pa.Table) -> pa.Table:
         srt = group.sort_by([("band", "ascending"), ("band_hash", "ascending"),
                              (id_column, "ascending")])
@@ -360,12 +338,7 @@ def _emit_bucket_pairs(id_column: str, n_perms: int = 0,
                 b"".join(srt["sig8"].to_pylist()),
                 np.uint8).reshape(n, n_perms)
         if n == 0:
-            # full output schema incl. pb2 (the other emitters return their
-            # complete schema for the empty case; a pb2-less empty table
-            # would break the downstream pair-dedup groupby if Ray ever
-            # fed an empty group — review r4, third batch)
-            return pa.table({"pb2": pa.array([], pa.int64()),
-                             "id_a": pa.array([], pa.int64()),
+            return pa.table({"id_a": pa.array([], pa.int64()),
                              "id_b": pa.array([], pa.int64())})
         new_run = np.empty(n, bool)
         new_run[0] = True
@@ -394,47 +367,34 @@ def _emit_bucket_pairs(id_column: str, n_perms: int = 0,
             out_b.extend(uniq[c].tolist())
         a = np.asarray(out_a, np.int64)
         b = np.asarray(out_b, np.int64)
-        if a.size:     # local dedup before the shuffle (bands often repeat)
+        if a.size:     # local dedup within the bucket (bands often repeat)
             a, b = _unique_rows2(a, b)
-        return pa.table({"pb2": pa.array(_pair_bucket(a, b, n_buckets),
-                                         pa.int64()),
-                         "id_a": pa.array(a, pa.int64()),
+        return pa.table({"id_a": pa.array(a, pa.int64()),
                          "id_b": pa.array(b, pa.int64())})
     return emit
 
 
 def minhash_lsh_candidate_pairs(ds, id_column: str, text_column: str,
                                 n_perms: int = 128, bands: int = 32,
-                                k: int = 5, est_threshold: float = 0.0,
-                                concurrency=None, dedup: bool = True):
-    """Distributed LSH candidate pairs: returns a Dataset of UNIQUE
-    (id_a, id_b) rows (``dedup=False`` skips the cross-band dedup groupby
-    and may return the same pair from several bands). No driver-side
-    materialization anywhere."""
-    from ..rayutil import avail_cpus, default_buckets, ensure_worker_importable
+                                k: int = 5, est_threshold: float = 0.0):
+    """Distributed LSH candidate pairs: a materialized Dataset of
+    (id_a, id_b) rows, id_a < id_b. A pair matching in several bands may
+    appear once per bucket it was found in; ``_jaccard_verify_pairs``
+    uniques them. No driver-side materialization anywhere."""
+    from ..rayutil import avail_cpus, bucket_groups
 
-    ensure_worker_importable()      # the pairs.materialize() below runs first
-    n_buckets = default_buckets()
     sigs = minhash_signatures(_spread_blocks(ds, 2 * avail_cpus()),
-                              id_column, text_column, n_perms, k,
-                              concurrency)
-    band_ds = minhash_band_rows(sigs, id_column, n_perms, bands,
-                                carry_signature=bool(est_threshold))
-    pairs = band_ds.groupby("pb").map_groups(
+                              id_column, text_column, n_perms, k)
+    pairs = bucket_groups(
+        sigs, "band_hash",
         _emit_bucket_pairs(id_column, n_perms if est_threshold else 0,
-                           est_threshold, n_buckets),
-        batch_format="pyarrow")
-    # checkpoint between the two all-to-all shuffles: chaining them in one
+                           est_threshold),
+        prepare=_minhash_band_rows(id_column, n_perms, bands,
+                                   carry_signature=bool(est_threshold)))
+    # checkpoint before the verify's own executions: chaining them in one
     # streaming execution measured ~2x slower (round-1 finding), and the
     # emitted pair stream is prefiltered/output-scale — cheap to stage
-    pairs = pairs.materialize()
-    if not dedup:
-        # caller dedups downstream (the verify join groups duplicate pairs
-        # into one vp partition, where np.unique is free) — skipping the
-        # dedicated dedup groupby saves one all-to-all execution
-        return pairs
-    # distributed dedup: the same pair can surface from several bands
-    return _dedup_pairs(pairs)
+    return pairs.materialize()
 
 
 def _unique_rows2(a: np.ndarray, b: np.ndarray):
@@ -460,16 +420,15 @@ _SETS_INDEX_CACHE: dict = {}
 
 
 def _pair_index(refs, n_verify_parts: int) -> tuple:
-    """Worker-side pair/routing index built ONCE per worker process from the
+    """Worker-side pair index built ONCE per worker process from the
     broadcast candidate-pair block refs — ``ray.get`` is zero-copy from the
     local object store, and the built index is cached keyed by the refs so
     repeated tasks on one worker never rebuild it.
 
-    Returns (vp_sorted, a_sorted, b_sorted, doc_sorted, docvp_sorted, cand):
-    the UNIQUE pairs sorted by their verify partition vp = hash(a,b) % P,
-    plus the (doc_id → vp) needs arrays sorted by doc_id, plus the candidate
-    id set. Everything here is output-scale (pairs ≪ corpus — the standard
-    LSH regime; at ~10⁹ pairs/node shard the corpus or raise the threshold)."""
+    Returns (vp_sorted, a_sorted, b_sorted, cand): the UNIQUE pairs sorted
+    by their verify partition vp = hash(a,b) % P, plus the candidate id set.
+    Everything here is output-scale (pairs ≪ corpus — the standard LSH
+    regime; past a broadcast the verify takes its sharded route)."""
     import ray
 
     key = (tuple(r.hex() for r in refs), n_verify_parts)
@@ -479,20 +438,13 @@ def _pair_index(refs, n_verify_parts: int) -> tuple:
                 if t.num_rows and "id_a" in t.column_names]
         if tbls:
             t = pa.concat_tables(tbls)
-            a = t["id_a"].combine_chunks() \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-            b = t["id_b"].combine_chunks() \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-            a, b = _unique_rows2(a, b)
+            a, b = _unique_rows2(_int64s(t["id_a"]), _int64s(t["id_b"]))
         else:
             a = b = np.zeros(0, np.int64)
-        vp = _pair_bucket(a, b, n_verify_parts)
+        vp = _pair_part(a, b, n_verify_parts)
         po = np.argsort(vp, kind="stable")
-        vp_s, a_s, b_s = vp[po], a[po], b[po]
-        d_sorted, v_sorted = _unique_rows2(np.concatenate([a, b]),
-                                           np.concatenate([vp, vp]))
-        idx = (vp_s, a_s, b_s, d_sorted, v_sorted,
-               pa.array(np.unique(d_sorted), pa.int64()))
+        idx = (vp[po], a[po], b[po],
+               pa.array(np.unique(np.concatenate([a, b])), pa.int64()))
         _PAIR_INDEX_CACHE.clear()       # hold at most one run's index
         _PAIR_INDEX_CACHE[key] = idx
     return idx
@@ -687,6 +639,22 @@ def _verify_pairs_pool(index: tuple, a_arr: np.ndarray, b_arr: np.ndarray,
             np.concatenate(out_j))
 
 
+def _int64s(col) -> np.ndarray:
+    """An Arrow integer column as an int64 numpy array."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return col.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _verified_table(index: tuple, a: np.ndarray, b: np.ndarray,
+                    verify_threshold: float) -> pa.Table:
+    """(id_a, id_b, jaccard) of the pairs that pass the exact verify."""
+    va, vb, vj = _verify_pairs_pool(index, a, b, verify_threshold)
+    return pa.table({"id_a": pa.array(va, pa.int64()),
+                     "id_b": pa.array(vb, pa.int64()),
+                     "jaccard": pa.array(vj, pa.float64())})
+
+
 def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
                           text_column: str, k: int,
                           verify_threshold: float,
@@ -695,31 +663,27 @@ def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
                           sets_precomputed: bool = False,
                           broadcast_cap_bytes: int = 1 << 28,
                           pair_cap_bytes: int = 1 << 28) -> pa.Table:
-    """Distributed exact-Jaccard verify. Candidate-pair blocks stay in the
-    object store; their REFS are broadcast and every task derives the
-    globally-unique pair list, the partition assignment vp = hash(a,b) % P,
-    and the doc routing from a worker-cached index (``_pair_index``) —
-    duplicate input pairs (one per matching band/gram) are uniqued there, so
-    callers never need a dedicated pair-dedup shuffle. One corpus scan
-    extracts the CANDIDATE docs' set hashes (output-scale). Then:
+    """Distributed exact-Jaccard verify of candidate pairs. Duplicate input
+    pairs (one per matching band/gram) are uniqued here, so callers never
+    need a pair-dedup shuffle. Two routes:
 
-    - broadcast path (candidate sets ≤ ``broadcast_cap_bytes``): the set
-      blocks' refs are broadcast too and verification is an embarrassingly
-      parallel map over vp slices of the unique pair list — ZERO shuffles.
-      This is the measured winner whenever the candidate sets fit a worker
-      heap (the reduce-side join replicates each doc's set to every
-      partition that needs it: ~P× the bytes for pair-dense corpora).
-    - reduce-side path (at scale): candidate sets are replicated ONLY to
-      the vp partitions that need them via groupby(vp); per-partition state
-      is sets/P — the path that still works when candidate sets exceed any
-      single worker's heap.
+    - broadcast (the candidate pairs fit ``pair_cap_bytes`` and the
+      candidate docs' sets fit ``broadcast_cap_bytes``): candidate-pair
+      blocks stay in the object store and their REFS are broadcast; every
+      task derives the globally-unique pair list and the partition
+      assignment vp = hash(a,b) % P from a worker-cached index
+      (``_pair_index``). One corpus scan extracts the CANDIDATE docs' set
+      hashes (output-scale); their refs are broadcast too and verification
+      is an embarrassingly parallel map over vp slices of the unique pair
+      list — ZERO shuffles. A precomputed set table that is already
+      materialized and fits the cap skips even that scan.
+    - sharded (either cap exceeded): ``_jaccard_verify_sharded`` — pairs
+      and the sets they need meet per vp through two shuffles, and NO
+      worker ever derives the whole pair index or set table: per-worker
+      state is pairs/P + the sets that partition needs, so the ~10⁹-pair
+      regime that outgrows a broadcast still completes with bounded RSS.
 
-    Driver-side state is O(block refs) either way. When the pair stream
-    itself exceeds ``pair_cap_bytes``, a third, fully SHARDED route kicks in
-    (``_jaccard_verify_sharded``): pairs shuffle by vp, doc→vp routing is a
-    hash-bucket join, and NO worker ever derives the whole pair index — per
-    worker state is pairs/P + the sets that partition needs, so the ~10⁹-pair
-    regime that outgrows a broadcast still completes with bounded RSS.
+    Driver-side state is O(block refs) either way.
 
     ``set_hash_fn(text) -> np.uint64 array`` lets callers verify other set
     semantics (e.g. word n-grams for the PPJoin path); default char-k
@@ -752,13 +716,6 @@ def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
     # needs). At scale n_pairs dominates and the clamp is a no-op.
     n_verify_parts = max(1, min(n_verify_parts, (n_pairs + 2047) // 2048))
 
-    def verify_table(index, a_arr, b_arr) -> pa.Table:
-        va, vb, vj = _verify_pairs_pool(index, a_arr, b_arr,
-                                        verify_threshold)
-        return pa.table({"id_a": pa.array(va, pa.int64()),
-                         "id_b": pa.array(vb, pa.int64()),
-                         "jaccard": pa.array(vj, pa.float64())})
-
     def broadcast_verify(set_refs, id_col: str, blob_col: str) -> pa.Table:
         # RAW Ray tasks, deliberately: the fan-out unit here is "one vp
         # slice of a broadcast pair list", a 64-row driver-side work list —
@@ -767,11 +724,12 @@ def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
         # verifies a disjoint vp slice; worker-side indexes are cached.
         @ray.remote
         def verify_vp(vp: int) -> pa.Table:
-            vp_s, a_s, b_s, _, _, _ = _pair_index(pair_refs, n_verify_parts)
+            vp_s, a_s, b_s, _ = _pair_index(pair_refs, n_verify_parts)
             index = _sets_index(set_refs, id_col, blob_col)
             lo = np.searchsorted(vp_s, vp, "left")
             hi = np.searchsorted(vp_s, vp, "right")
-            return verify_table(index, a_s[lo:hi], b_s[lo:hi])
+            return _verified_table(index, a_s[lo:hi], b_s[lo:hi],
+                                   verify_threshold)
 
         parts = [t for t in ray.get([verify_vp.remote(vp)
                                      for vp in range(n_verify_parts)])
@@ -811,17 +769,29 @@ def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
             "shingles": blobs,
         })
 
-    if not pairs_small:
-        # SHARDED path (at scale): NO worker may derive the full pair
-        # index — the point of the route (VERDICT r3 #5) — so the scan's
-        # candidate prefilter uses an IDS-ONLY broadcast (per-block unique
-        # ids from the pair table, unioned once on the driver: no pair
-        # sort, no routing arrays, no per-worker rebuild). If even the id
-        # set exceeds the cap, skip prefiltering entirely: the sharded
-        # routing join drops non-candidate sets anyway.
+    if pairs_small:
+        def cand_rows(batch: pa.Table) -> pa.Table:
+            cand = _pair_index(pair_refs, n_verify_parts)[3]
+            return _to_blob_rows(batch.filter(
+                pc.is_in(batch[id_column], value_set=cand)))
+
+        # ONE corpus scan → candidate sets only (output-scale), staged in
+        # the object store
+        sets_mat = ds.map_batches(cand_rows, batch_format="pyarrow",
+                                  zero_copy_batch=True).materialize()
+        if sets_mat.size_bytes() <= broadcast_cap_bytes:
+            return broadcast_verify(block_refs(sets_mat),
+                                    "doc_id", "shingles")
+    else:
+        # NO worker may derive the full pair index — the point of the
+        # sharded route — so the scan's candidate prefilter
+        # uses an IDS-ONLY broadcast (per-block unique ids from the pair
+        # table, unioned once on the driver: no pair sort, no per-worker
+        # rebuild). If even the id set exceeds the cap, skip prefiltering
+        # entirely: the sharded routing shuffle drops non-candidate sets
+        # anyway.
         id_parts = [np.unique(np.concatenate([
-            t["id_a"].to_numpy(zero_copy_only=False).astype(np.int64),
-            t["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)]))
+            _int64s(t["id_a"]), _int64s(t["id_b"])]))
             for t in ray.get(pair_refs)
             if t.num_rows and "id_a" in t.column_names]
         cand_ids = np.unique(np.concatenate(id_parts)) if id_parts \
@@ -834,214 +804,82 @@ def _jaccard_verify_pairs(ds, pairs_ds, id_column: str,
                 pc.is_in(batch[id_column], value_set=ray.get(cand_ref)))
             return _to_blob_rows(sel)
 
-        sets_sharded = ds.map_batches(cand_rows_sharded,
-                                      batch_format="pyarrow",
-                                      zero_copy_batch=True).materialize()
-        # Pairs shuffle by vp; doc→vp routing resolves via a hash-bucket
-        # join of routing rows against candidate sets; each vp group
-        # verifies with only ITS pair slice + the sets it needs. Two extra
-        # all-to-alls — the price of bounded per-worker RSS once candidate
-        # pairs outgrow a broadcast.
-        return _jaccard_verify_sharded(sets_sharded, pairs_mat,
-                                       n_verify_parts, verify_threshold,
-                                       empty)
-
-    def cand_rows(batch: pa.Table) -> pa.Table:
-        _, _, _, _, _, cand = _pair_index(pair_refs, n_verify_parts)
-        return _to_blob_rows(batch.filter(
-            pc.is_in(batch[id_column], value_set=cand)))
-
-    # ONE corpus scan → candidate sets only (output-scale), staged in the
-    # object store
-    sets_mat = ds.map_batches(cand_rows, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
-
-    if sets_mat.size_bytes() <= broadcast_cap_bytes:
-        return broadcast_verify(block_refs(sets_mat),
-                                "doc_id", "shingles")
-    else:
-        def shingle_rows(batch: pa.Table) -> pa.Table:
-            _, _, _, d_sorted, v_sorted, _ = _pair_index(pair_refs,
-                                                         n_verify_parts)
-            out_vp: list = []
-            out_id: list = []
-            out_sh: list = []
-            for i, s in zip(batch["doc_id"].to_pylist(),
-                            batch["shingles"].to_pylist()):
-                lo = np.searchsorted(d_sorted, int(i), "left")
-                hi = np.searchsorted(d_sorted, int(i), "right")
-                for vp in v_sorted[lo:hi].tolist():
-                    out_vp.append(vp)
-                    out_id.append(int(i))
-                    out_sh.append(s)
-            return pa.table({
-                "vp": pa.array(out_vp, pa.int64()),
-                "doc_id": pa.array(out_id, pa.int64()),
-                "shingles": pa.array(out_sh, pa.binary()),
-            })
-
-        def verify(group: pa.Table) -> pa.Table:
-            if group.num_rows == 0:
-                return empty
-            vp_s, a_s, b_s, _, _, _ = _pair_index(pair_refs, n_verify_parts)
-            vp = int(group["vp"][0].as_py())
-            lo = np.searchsorted(vp_s, vp, "left")
-            hi = np.searchsorted(vp_s, vp, "right")
-            ids = group["doc_id"].combine_chunks() \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-            pool, lens = _blob_pool(group["shingles"])
-            index = _build_sets_pool(ids, pool, lens)
-            return verify_table(index, a_s[lo:hi], b_s[lo:hi])
-
-        out_ds = sets_mat.map_batches(
-            shingle_rows, batch_format="pyarrow",
-            zero_copy_batch=True).groupby("vp").map_groups(
-            verify, batch_format="pyarrow")
-
-    parts = [t for t in collect_partials(out_ds)
-             if "id_a" in t.column_names]
-    if not parts:
-        return empty
-    return pa.concat_tables(parts).sort_by(
-        [("id_a", "ascending"), ("id_b", "ascending")])
-
-
-def _doc_bucket(d: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic doc-hash bucket — the SAME function in every task."""
-    return ((d.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-            % np.uint64(n)).astype(np.int64)
+        sets_mat = ds.map_batches(cand_rows_sharded,
+                                  batch_format="pyarrow",
+                                  zero_copy_batch=True).materialize()
+    return _jaccard_verify_sharded(sets_mat, pairs_mat, n_verify_parts,
+                                   verify_threshold, empty)
 
 
 def _jaccard_verify_sharded(sets_mat, pairs_mat, n_verify_parts: int,
                             verify_threshold: float,
                             empty: pa.Table) -> pa.Table:
-    """Fully sharded exact-Jaccard verify — no broadcast pair index anywhere.
+    """Fully sharded exact-Jaccard verify — no broadcast pair index or set
+    table anywhere. Two ``rayutil.bucket_groups`` shuffles:
 
-    pairs ──map──> (vp, id_a, id_b)      sets ──map──> (db, doc_id, blob)
-      │               └─map──> routing rows (db, doc_id, vp)   │
-      │                        └──── groupby(db) join ─────────┘
-      │                          emits (vp, doc_id, blob) per vp that needs it
-      └────────────── union → groupby(vp) → in-group verify ───┘
+    1. routing rows ``(doc_id, vp)`` — one per doc and verify partition
+       holding one of its pairs — meet the candidate set rows
+       ``(doc_id, shingles)`` on ``doc_id``; each bucket places a copy of
+       every set with each vp that needs it: ``(vp, doc_id, shingles)``;
+    2. the pairs ``(vp, id_a, id_b)`` meet the placed sets on ``vp``, and
+       each bucket verifies its pairs against its sets.
 
-    Per-worker state is one vp's pair slice plus the sets that vp needs —
-    both ~output-scale/P — so candidate-pair streams that outgrow any single
-    worker's heap (the broadcast paths' documented limit) still verify with
-    bounded RSS. Costs two extra all-to-alls; the broadcast paths stay the
-    fast route below ``pair_cap_bytes``. Duplicate input pairs (one per
-    matching band/gram) collapse in the vp group via ``_unique_rows2``."""
+    Per-worker state is one bucket's pair slice plus the sets its vps need
+    — both ~output-scale/P — so candidate-pair streams that outgrow any
+    single worker's heap (the broadcast route's limit) still verify with
+    bounded RSS. Duplicate input pairs (one per matching band/gram)
+    collapse in the vp bucket via ``_unique_rows2``."""
+    from ..rayutil import bucket_groups
+
     P = n_verify_parts
-
-    def pair_rows(batch: pa.Table) -> pa.Table:
-        a = batch["id_a"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["id_b"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        a, b = _unique_rows2(a, b)
-        return pa.table({
-            "vp": pa.array(_pair_bucket(a, b, P), pa.int64()),
-            "id_a": pa.array(a, pa.int64()),
-            "id_b": pa.array(b, pa.int64()),
-            "doc_id": pa.nulls(a.size, pa.int64()),
-            "shingles": pa.nulls(a.size, pa.binary()),
-        })
+    i64 = pa.int64()
+    set_cols = [("doc_id", i64), ("shingles", pa.binary())]
 
     def route_rows(batch: pa.Table) -> pa.Table:
-        a = batch["id_a"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["id_b"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        vp = _pair_bucket(a, b, P)
-        d = np.concatenate([a, b])
-        v = np.concatenate([vp, vp])
-        d, v = _unique_rows2(d, v)
-        return pa.table({
-            "db": pa.array(_doc_bucket(d, P), pa.int64()),
-            "doc_id": pa.array(d, pa.int64()),
-            "vp": pa.array(v, pa.int64()),
-            "shingles": pa.nulls(d.size, pa.binary()),
-        })
+        a, b = _int64s(batch["id_a"]), _int64s(batch["id_b"])
+        vp = _pair_part(a, b, P)
+        d, v = _unique_rows2(np.concatenate([a, b]), np.concatenate([vp, vp]))
+        return pa.table({"doc_id": pa.array(d, i64), "vp": pa.array(v, i64)})
 
-    def set_rows(batch: pa.Table) -> pa.Table:
-        d = batch["doc_id"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        sh = batch["shingles"]
-        if isinstance(sh, pa.ChunkedArray):
-            sh = sh.combine_chunks()
-        return pa.table({
-            "db": pa.array(_doc_bucket(d, P), pa.int64()),
-            "doc_id": pa.array(d, pa.int64()),
-            "vp": pa.nulls(d.size, pa.int64()),
-            "shingles": sh,
-        })
-
-    def replicate(group: pa.Table) -> pa.Table:
-        out_empty = pa.table({"vp": pa.array([], pa.int64()),
-                              "id_a": pa.array([], pa.int64()),
-                              "id_b": pa.array([], pa.int64()),
-                              "doc_id": pa.array([], pa.int64()),
-                              "shingles": pa.array([], pa.binary())})
-        need = pc.is_null(group["shingles"])
-        route = group.filter(need)
-        sets = group.filter(pc.invert(need))
-        if route.num_rows == 0 or sets.num_rows == 0:
-            return out_empty
-        rdoc = route["doc_id"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        rvp = route["vp"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        rdoc, rvp = _unique_rows2(rdoc, rvp)   # cross-batch (doc, vp) dupes
-        sdoc = sets["doc_id"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
+    def replicate(route: pa.Table, sets: pa.Table) -> pa.Table:
+        # cross-batch (doc, vp) duplicates collapse here
+        rdoc, rvp = _unique_rows2(_int64s(route["doc_id"]),
+                                  _int64s(route["vp"]))
+        sdoc = _int64s(sets["doc_id"])
         lo = np.searchsorted(rdoc, sdoc, "left")
-        hi = np.searchsorted(rdoc, sdoc, "right")
-        cnt = hi - lo
+        cnt = np.searchsorted(rdoc, sdoc, "right") - lo
         total = int(cnt.sum())
-        if total == 0:
-            return out_empty
         dst = np.concatenate([[0], np.cumsum(cnt)]).astype(np.int64)
         gi = np.repeat(lo - dst[:-1], cnt) + np.arange(total, dtype=np.int64)
-        srow = np.repeat(np.arange(sdoc.size), cnt)
-        return pa.table({
-            "vp": pa.array(rvp[gi], pa.int64()),
-            "id_a": pa.nulls(total, pa.int64()),
-            "id_b": pa.nulls(total, pa.int64()),
-            "doc_id": pa.array(sdoc[srow], pa.int64()),
-            "shingles": sets["shingles"].combine_chunks()
-            .take(pa.array(srow, pa.int64())),
-        })
+        placed = sets.take(pa.array(np.repeat(np.arange(sdoc.size), cnt),
+                                    i64))
+        return placed.add_column(0, "vp", pa.array(rvp[gi], i64))
 
-    def verify_group(group: pa.Table) -> pa.Table:
-        is_pair = pc.is_valid(group["id_a"])
-        prs = group.filter(is_pair)
-        sts = group.filter(pc.invert(is_pair))
-        if prs.num_rows == 0:
-            return empty
-        a = prs["id_a"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        b = prs["id_b"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        a, b = _unique_rows2(a, b)             # global pair dedup lands here
-        ids = sts["doc_id"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        pool, lens = _blob_pool(sts["shingles"])
-        index = _build_sets_pool(ids, pool, lens)
-        va, vb, vj = _verify_pairs_pool(index, a, b, verify_threshold)
-        return pa.table({"id_a": pa.array(va, pa.int64()),
-                         "id_b": pa.array(vb, pa.int64()),
-                         "jaccard": pa.array(vj, pa.float64())})
+    def pair_rows(batch: pa.Table) -> pa.Table:
+        a, b = _unique_rows2(_int64s(batch["id_a"]), _int64s(batch["id_b"]))
+        return pa.table({"vp": pa.array(_pair_part(a, b, P), i64),
+                         "id_a": pa.array(a, i64), "id_b": pa.array(b, i64)})
 
-    pairs_vp = pairs_mat.map_batches(pair_rows, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-    routing = pairs_mat.map_batches(route_rows, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    setsdb = sets_mat.map_batches(set_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True)
+    def verify_group(pairs: pa.Table, sets: pa.Table) -> pa.Table:
+        a, b = _unique_rows2(_int64s(pairs["id_a"]), _int64s(pairs["id_b"]))
+        # a bucket may hold several vps, each with its own copy of a set
+        ids, first = np.unique(_int64s(sets["doc_id"]), return_index=True)
+        pool, lens = _blob_pool(sets["shingles"].take(pa.array(first, i64)))
+        return _verified_table(_build_sets_pool(ids, pool, lens), a, b,
+                               verify_threshold)
+
     # materialize between the two all-to-alls (chained shuffles in one
     # streaming execution measured ~2x slower — round-1 finding)
-    placed = routing.union(setsdb).groupby("db") \
-        .map_groups(replicate, batch_format="pyarrow").materialize()
-    out_ds = pairs_vp.union(placed).groupby("vp") \
-        .map_groups(verify_group, batch_format="pyarrow")
+    placed = bucket_groups(
+        [(pairs_mat, "doc_id", route_rows,
+          pa.schema([("doc_id", i64), ("vp", i64)])),
+         (sets_mat, "doc_id", None, pa.schema(set_cols))],
+        replicate).materialize()
+    out_ds = bucket_groups(
+        [(pairs_mat, "vp", pair_rows,
+          pa.schema([("vp", i64), ("id_a", i64), ("id_b", i64)])),
+         (placed, "vp", None, pa.schema([("vp", i64)] + set_cols))],
+        verify_group)
     parts = [t for t in collect_partials(out_ds)
              if "id_a" in t.column_names]
     if not parts:
@@ -1052,25 +890,25 @@ def _jaccard_verify_sharded(sets_mat, pairs_mat, n_verify_parts: int,
 
 def minhash_near_duplicates(ds, id_column: str, text_column: str,
                             n_perms: int = 128, bands: int = 32, k: int = 5,
-                            verify_threshold: float = 0.8,
-                            concurrency=None) -> pa.Table:
+                            verify_threshold: float = 0.8) -> pa.Table:
     """Full near-dup pipeline, distributed end-to-end: signatures → band rows
-    → bucket groupby pair emission → pair dedup → reduce-side exact-Jaccard
-    verify. Returns (id_a, id_b, jaccard) for verified pairs, id_a < id_b.
+    shuffled on band_hash, each bucket emitting prefiltered candidate pairs
+    → exact-Jaccard verify, which also uniques the pairs. Returns (id_a,
+    id_b, jaccard) for verified pairs, id_a < id_b.
 
     Nothing corpus- or pair-scale ever reaches the driver: candidate pairs
-    flow into the verify join as a Dataset, and the doc→partition routing is
-    a broadcast semi-join over object-store refs (see _jaccard_verify_pairs).
-    Band rows are |docs| × bands ~(24 + n_perms)-byte rows; payloads are
-    re-read once, filtered to candidates, for the verify join."""
+    flow into the verify as a Dataset, and the candidate docs' sets meet
+    them through broadcast object-store refs or, past its caps, a sharded
+    shuffle (see _jaccard_verify_pairs). Band rows are |docs| × bands
+    ~(20 + n_perms)-byte rows; payloads are re-read once, filtered to
+    candidates, for the verify."""
     # signature-estimate prefilter INSIDE the bucket stage: est(J) has
     # σ ≈ 1/√n_perms, so pairs estimated 3σ below the verify threshold
-    # cannot pass exact verification — drop them before the pair shuffle
+    # cannot pass exact verification — drop them before they are staged
     margin = 3.0 / np.sqrt(n_perms)
     pairs_ds = minhash_lsh_candidate_pairs(
         ds, id_column, text_column, n_perms, bands, k,
-        est_threshold=max(verify_threshold - margin, 1e-9),
-        concurrency=concurrency, dedup=False)
+        est_threshold=max(verify_threshold - margin, 1e-9))
     return _jaccard_verify_pairs(ds, pairs_ds, id_column, text_column, k,
                                  verify_threshold)
 
@@ -1105,8 +943,8 @@ def _popcount64_rowsum(m: np.ndarray) -> np.ndarray:
     return _POP16[m.view(np.uint16)].reshape(m.shape[0], -1) \
         .sum(axis=1, dtype=np.int64)
 
-def add_simhash(ds, text_column: str = "text", out: str = "simhash", k: int = 5,
-                concurrency=None):
+def add_simhash(ds, text_column: str = "text", out: str = "simhash",
+                k: int = 5):
     """64-bit SimHash per document: sign-sum of shingle-hash bits.
     Task-based (cheap init, no pool ramp).
 
@@ -1148,12 +986,12 @@ def add_simhash(ds, text_column: str = "text", out: str = "simhash", k: int = 5,
 def simhash_near_duplicates(ds, id_column: str, text_column: str = "text",
                             max_hamming: int = 3, k: int = 5) -> pa.Table:
     """SimHash near-dup, distributed: 4×16-bit band LSH rows carry the 8-byte
-    signature, so Hamming verification happens inside the band-bucket groupby;
-    pairs are deduped with ``grouped_aggregate``. Returns (id_a, id_b,
-    hamming) — nothing corpus-sized ever reaches the driver."""
-    from ..rayutil import avail_cpus, default_buckets
+    signature and are shuffled on band_hash, so Hamming verification happens
+    inside each bucket; pairs are deduped with ``grouped_aggregate``.
+    Returns (id_a, id_b, hamming) — nothing corpus-sized ever reaches the
+    driver."""
+    from ..rayutil import avail_cpus, bucket_groups
 
-    n_buckets = default_buckets()
     with_sig = add_simhash(_spread_blocks(ds, 2 * avail_cpus()),
                            text_column, "simhash", k)
 
@@ -1166,19 +1004,13 @@ def simhash_near_duplicates(ds, id_column: str, text_column: str = "text",
         keys = np.empty((n, 4), np.uint64)
         for band in range(4):
             keys[:, band] = (sigs >> np.uint64(band * 16)) & np.uint64(0xFFFF)
-        band_idx = np.broadcast_to(np.arange(4, dtype=np.uint64), (n, 4))
-        pb = ((keys * np.uint64(0x9E3779B97F4A7C15) + band_idx)
-              % np.uint64(n_buckets)).astype(np.int64)
+        band_idx = np.broadcast_to(np.arange(4, dtype=np.int32), (n, 4))
         return pa.table({
-            "pb": pa.array(pb.ravel(), pa.int64()),
-            "band": pa.array(band_idx.astype(np.int32).ravel(), pa.int32()),
+            "band": pa.array(band_idx.ravel(), pa.int32()),
             "band_hash": pa.array(keys.astype(np.int64).ravel(), pa.int64()),
             id_column: pa.array(np.repeat(ids, 4), pa.int64()),
             "simhash": pa.array(np.repeat(sigs, 4).astype(np.int64), pa.int64()),
         })
-
-    band_ds = with_sig.select_columns([id_column, "simhash"]) \
-        .map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
 
     def emit(group: pa.Table) -> pa.Table:
         srt = group.sort_by([("band", "ascending"), ("band_hash", "ascending"),
@@ -1221,7 +1053,8 @@ def simhash_near_duplicates(ds, id_column: str, text_column: str = "text",
                          "id_b": pa.array(cat(out_b), pa.int64()),
                          "hamming": pa.array(cat(out_h), pa.int64())})
 
-    verified = band_ds.groupby("pb").map_groups(emit, batch_format="pyarrow")
+    verified = bucket_groups(with_sig, "band_hash", emit, prepare=band_rows,
+                             columns=[id_column, "simhash"])
     deduped = grouped_aggregate(verified, ["id_a", "id_b"],
                                 [("hamming", "min", "hamming")])
     parts = [t for t in collect_partials(deduped)
@@ -1286,7 +1119,7 @@ def ngram_contamination(ds, id_column: str, text_column: str,
 # --- near-dup clustering (connected components) ----------------------------
 
 def connected_components(pairs: pa.Table, id_a: str = "id_a",
-                         id_b: str = "id_b", *, n_buckets: int = 0,
+                         id_b: str = "id_b", *,
                          max_rounds: int = 30) -> pa.Table:
     """Distributed connected components over an undirected edge list —
     the step that turns near-dup PAIRS into dedup DECISIONS (cluster id +
@@ -1300,9 +1133,9 @@ def connected_components(pairs: pa.Table, id_a: str = "id_a",
     near-dup graphs are unions of near-cliques, so practically 2-4 rounds;
     ``max_rounds`` bounds pathological chains (a 10⁶-node path needs the
     doubling variant, not this one — documented trade, not a silent cap).
-    Each round is one parallel wave of per-bucket join+min tasks over the
-    EDGE list, which is output-scale (pairs ≪ corpus); nothing corpus-sized
-    is touched and convergence is an exact fixpoint check.
+    Each round is one parallel wave of join+min tasks, one per contiguous
+    slice of the EDGE list, which is output-scale (pairs ≪ corpus); nothing
+    corpus-sized is touched and convergence is an exact fixpoint check.
 
     Input: a pa.Table of unique pairs. Returns (node, component) sorted by
     node, component = min node id of the component. Driver-side state is
@@ -1310,9 +1143,7 @@ def connected_components(pairs: pa.Table, id_a: str = "id_a",
     every pair table here); the per-round join/min runs vectorized."""
     import ray
 
-    if n_buckets <= 0:
-        from ..rayutil import avail_cpus
-        n_buckets = 2 * avail_cpus()
+    from ..rayutil import default_buckets
 
     a = pairs[id_a].combine_chunks().to_numpy(zero_copy_only=False) \
         .astype(np.int64)
@@ -1322,26 +1153,19 @@ def connected_components(pairs: pa.Table, id_a: str = "id_a",
         return pa.table({"node": pa.array([], pa.int64()),
                          "component": pa.array([], pa.int64())})
     # both directions, deduped — the static edge set ships to the object
-    # store ONCE (bucketed by source) and every round joins the same refs
-    u = np.concatenate([a, b])
-    v = np.concatenate([b, a])
-    u, v = _unique_rows2(u, v)
+    # store ONCE, cut into contiguous slices (any split works: each edge
+    # only has to reach one task), and every round joins the same refs
+    u, v = _unique_rows2(np.concatenate([a, b]), np.concatenate([b, a]))
     nodes = np.unique(u)
     labels = nodes.copy()
-
-    edge_refs = []
-    order = np.argsort(_doc_bucket(u, n_buckets), kind="stable")
-    ub, vb = u[order], v[order]
-    eb = _doc_bucket(ub, n_buckets)
-    bounds = np.searchsorted(eb, np.arange(n_buckets + 1))
-    for i in range(n_buckets):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo < hi:
-            edge_refs.append((i, ray.put((ub[lo:hi], vb[lo:hi]))))
+    n_slices = default_buckets()
+    edge_refs = [ray.put(edges) for edges in zip(
+        np.array_split(u, n_slices), np.array_split(v, n_slices))
+        if edges[0].size]
 
     @ray.remote
     def propagate(edges_ref_pair, nds, lbl):
-        """One bucket's round: label-lookup for its edges' sources, emit
+        """One slice's round: label-lookup for its edges' sources, emit
         (dst, candidate label) minima — vectorized searchsorted + reduceat.
         Top-level ObjectRef args arrive auto-resolved by Ray."""
         eu, ev = edges_ref_pair
@@ -1355,7 +1179,7 @@ def connected_components(pairs: pa.Table, id_a: str = "id_a",
     for _ in range(max_rounds):
         labels_ref = ray.put(labels)
         parts = ray.get([propagate.remote(ref, nodes_ref, labels_ref)
-                         for _, ref in edge_refs])
+                         for ref in edge_refs])
         new_labels = labels.copy()
         for dv, ml in parts:
             idx = np.searchsorted(nodes, dv)
@@ -1813,13 +1637,13 @@ def embedding_neardup_ivf(ds, id_column: str, vec_column: str,
                           n_assign: int = 2) -> pa.Table:
     """Approximate at-scale embedding near-dup: assign each vector to its
     ``n_assign`` nearest IVF centroids (multi-probe closes most cross-bucket
-    misses), then compare all pairs WITHIN each centroid bucket via a
-    distributed groupby — compare volume drops from O(N²) to
-    O(sum_b n_b²). Partitioning assumption: near-duplicate vectors land in at
-    least one common centroid bucket (holds when threshold ≫ inter-centroid
-    similarity)."""
+    misses), then compare all pairs WITHIN each centroid via a shuffle on
+    the centroid id — compare volume drops from O(N²) to O(sum_b n_b²).
+    Partitioning assumption: near-duplicate vectors land in at least one
+    common centroid (holds when threshold ≫ inter-centroid similarity)."""
     import ray
 
+    from ..rayutil import bucket_groups
     from .simsearch import _to_matrix, train_ivf_centroids
 
     cents = train_ivf_centroids(ds, vec_column, n_centroids,
@@ -1844,19 +1668,21 @@ def embedding_neardup_ivf(ds, id_column: str, vec_column: str,
                             pa.binary()),
         })
 
-    def compare_bucket(group: pa.Table) -> pa.Table:
-        ids = group[id_column].combine_chunks() \
+    empty = pa.table({"id_a": pa.array([], pa.int64()),
+                      "id_b": pa.array([], pa.int64()),
+                      "cos": pa.array([], pa.float64())})
+
+    def compare_centroid(seg: pa.Table) -> pa.Table:
+        ids = seg[id_column].combine_chunks() \
             .to_numpy(zero_copy_only=False).astype(np.int64)
         uniq, first = np.unique(ids, return_index=True)
         if uniq.size < 2:
-            return pa.table({"id_a": pa.array([], pa.int64()),
-                             "id_b": pa.array([], pa.int64()),
-                             "cos": pa.array([], pa.float64())})
+            return empty
         # vectorized blob decode straight off the Arrow buffers (the old
         # per-row .as_py() loop was one Python access + bytes copy per doc
         # — review r4, third batch); every vec blob is the same dim*4-byte
-        # float32 row, so one frombuffer + reshape decodes the whole bucket
-        sel = group["vec"].combine_chunks() \
+        # float32 row, so one frombuffer + reshape decodes the whole segment
+        sel = seg["vec"].combine_chunks() \
             .take(pa.array(first, pa.int64()))
         bufs = sel.buffers()
         voff = np.frombuffer(bufs[1], np.int32)[
@@ -1872,18 +1698,22 @@ def embedding_neardup_ivf(ds, id_column: str, vec_column: str,
                          "id_b": pa.array(uniq[c[mask]], pa.int64()),
                          "cos": pa.array(sims[r, c][mask], pa.float64())})
 
-    assigned = ds.map_batches(assign, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    pairs = assigned.groupby("bucket").map_groups(compare_bucket,
-                                                  batch_format="pyarrow")
+    def compare_bucket(group: pa.Table) -> pa.Table:
+        # a bucket may hold several centroids: compare within each one only
+        srt = group.sort_by("bucket")
+        starts = np.flatnonzero(run_starts(srt["bucket"]))
+        ends = np.append(starts[1:], srt.num_rows)
+        return pa.concat_tables(
+            [compare_centroid(srt.slice(s, e - s))
+             for s, e in zip(starts, ends)] or [empty])
+
+    pairs = bucket_groups(ds, "bucket", compare_bucket, prepare=assign)
     deduped = grouped_aggregate(pairs, ["id_a", "id_b"],
                                 [("cos", "max", "cos")])
     parts = [t for t in collect_partials(deduped)
              if "id_a" in t.column_names]
     if not parts:
-        return pa.table({"id_a": pa.array([], pa.int64()),
-                         "id_b": pa.array([], pa.int64()),
-                         "cos": pa.array([], pa.float64())})
+        return empty
     return pa.concat_tables(parts).sort_by(
         [("id_a", "ascending"), ("id_b", "ascending")])
 
@@ -1996,8 +1826,8 @@ def ngram_gram_blobs(ds, id_column: str, text_column: str, n: int):
 def ngram_hot_grams(grams_ds, hot_df: int, key_column: str = "doc_id",
                     sample_fraction: float = 1.0) -> pa.Table:
     """Distributed document-frequency pass over staged gram blobs: per-batch
-    partial gram counts → one hash-bucket groupby sum → grams with
-    df ≥ hot_df. The result is SMALL by construction (≤ total gram
+    partial gram counts → one shuffle on the gram hash, summed per gram →
+    grams with df ≥ hot_df. The result is SMALL by construction (≤ total gram
     occurrences / hot_df rows), which is what makes broadcasting it safe;
     raise ``hot_df`` with corpus size to keep it so.
 
@@ -2009,9 +1839,8 @@ def ngram_hot_grams(grams_ds, hot_df: int, key_column: str = "doc_id",
     under-flagging merely risks extra candidate emission, never a missed
     pair. A df-64 gram is seen ≥ ~fraction·64/2 times in the sample w.h.p.,
     so genuinely hot grams still flag; the pass cost drops ∝ fraction."""
-    from ..rayutil import default_buckets
+    from ..rayutil import bucket_groups
 
-    n_buckets = default_buckets()
     if sample_fraction < 1.0:
         from .sampling import hash_sample
 
@@ -2025,30 +1854,21 @@ def ngram_hot_grams(grams_ds, hot_df: int, key_column: str = "doc_id",
     def partial_counts(batch: pa.Table) -> pa.Table:
         gh, _ = _blob_pool(batch["grams"])
         if not gh.size:
-            return pa.table({"pb": pa.array([], pa.int64()),
-                             "gh": pa.array([], pa.int64()),
+            return pa.table({"gh": pa.array([], pa.int64()),
                              "df": pa.array([], pa.int64())})
         t = pa.table({"gh": pa.array(gh.astype(np.int64), pa.int64())})
         g = pa.TableGroupBy(t, "gh").aggregate([("gh", "count")])
-        ghv = g["gh"].to_numpy().astype(np.uint64)
-        return pa.table({
-            "pb": pa.array((ghv % np.uint64(n_buckets)).astype(np.int64),
-                           pa.int64()),
-            "gh": g["gh"],
-            "df": g["gh_count"].cast(pa.int64()),
-        })
+        return pa.table({"gh": g["gh"],
+                         "df": g["gh_count"].cast(pa.int64())})
 
     def sum_bucket(group: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(group.select(["gh", "df"]), "gh") \
-            .aggregate([("df", "sum")])
+        g = pa.TableGroupBy(group, "gh").aggregate([("df", "sum")])
         keep = pc.greater_equal(g["df_sum"], hot_df)
         return pa.table({"gh": g["gh"].filter(keep),
                          "df": g["df_sum"].filter(keep).cast(pa.int64())})
 
-    parts = [t for t in collect_partials(
-        grams_ds.map_batches(partial_counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .groupby("pb").map_groups(sum_bucket, batch_format="pyarrow"))
+    parts = [t for t in collect_partials(bucket_groups(
+        grams_ds, "gh", sum_bucket, prepare=partial_counts))
         if "gh" in t.column_names]
     if not parts:
         return pa.table({"gh": pa.array([], pa.int64()),
@@ -2126,11 +1946,11 @@ def ngram_jaccard_near_duplicates(ds, id_column: str, text_column: str,
        common gram in the global order provably lies inside both prefixes,
        so every qualifying pair survives; a stopword gram shared by a
        million docs sorts last and emits NOTHING.
-    3. candidate pairs: bucket groupby, run scan per gh, vectorized triu
-       pair emission, distributed pair dedup.
-    4. verify: exact Jaccard on full distinct-gram sets via the distributed
-       reduce-side join (``_jaccard_verify_pairs``), so the output is
-       EXACTLY the SQL oracle's (J ≥ t on distinct word n-grams).
+    3. candidate pairs: one shuffle on gh, run scan per gh, vectorized
+       triu pair emission.
+    4. verify: exact Jaccard on full distinct-gram sets
+       (``_jaccard_verify_pairs``, which also uniques the pairs), so the
+       output is EXACTLY the SQL oracle's (J ≥ t on distinct word n-grams).
 
     Emission is bounded by O(df²) only for grams with df < hot_df; hot grams
     never enter prefixes (for any doc with ≥ 2 grams, the prefix excludes at
@@ -2138,9 +1958,7 @@ def ngram_jaccard_near_duplicates(ds, id_column: str, text_column: str,
     one-hot-trigram worst case emitted O(df²) rows at corpus scale."""
     import ray
 
-    from ..rayutil import default_buckets
-
-    n_buckets = default_buckets()
+    from ..rayutil import bucket_groups
 
     grams_ds = ngram_gram_blobs(ds, id_column, text_column, n)
     # the hot-gram df scan only pays when df² can explode: below
@@ -2175,8 +1993,7 @@ def ngram_jaccard_near_duplicates(ds, id_column: str, text_column: str,
         one within-doc rank compare — zero per-doc Python."""
         h_gh, h_level = ray.get(hot_ref)
         if batch.num_rows == 0:
-            return pa.table({"pb": pa.array([], pa.int64()),
-                             "gh": pa.array([], pa.int64()),
+            return pa.table({"gh": pa.array([], pa.int64()),
                              "id": pa.array([], pa.int64())})
         ids = batch[id_column].combine_chunks() \
             .to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2197,8 +2014,6 @@ def ngram_jaccard_near_duplicates(ds, id_column: str, text_column: str,
         pg = gh[order][keep]
         pid = ids[doc_rep[keep]]                # doc_rep[order] == doc_rep
         return pa.table({
-            "pb": pa.array((pg % np.uint64(n_buckets)).astype(np.int64),
-                           pa.int64()),
             "gh": pa.array(pg.astype(np.int64), pa.int64()),
             "id": pa.array(pid, pa.int64()),
         })
@@ -2217,20 +2032,16 @@ def ngram_jaccard_near_duplicates(ds, id_column: str, text_column: str,
         if a.size:
             ne = a != b
             a, b = a[ne], b[ne]
-        if a.size:     # local dedup before the shuffle (grams repeat)
+        if a.size:     # local dedup within the bucket (grams repeat)
             a, b = _unique_rows2(a, b)
-        return pa.table({"pb2": pa.array(_pair_bucket(a, b, n_buckets),
-                                         pa.int64()),
-                         "id_a": pa.array(a, pa.int64()),
+        return pa.table({"id_a": pa.array(a, pa.int64()),
                          "id_b": pa.array(b, pa.int64())})
 
-    cand = grams_ds.map_batches(prefix_rows, batch_format="pyarrow",
-                                zero_copy_batch=True) \
-        .groupby("pb").map_groups(emit_pairs, batch_format="pyarrow") \
-        .materialize()           # stage between the two all-to-all shuffles
-    # no dedicated pair-dedup groupby: duplicate pairs (one per shared
-    # prefix gram) land in the same vp partition of the verify join, which
-    # np.uniques them in-group for free
+    # staged before the verify's own executions
+    cand = bucket_groups(grams_ds, "gh", emit_pairs,
+                         prepare=prefix_rows).materialize()
+    # no pair-dedup shuffle: duplicate pairs (one per shared prefix gram)
+    # land in the same vp partition of the verify, which np.uniques them
     out = _jaccard_verify_pairs(
         grams_ds, cand, id_column, "grams", k=0,
         verify_threshold=threshold, sets_precomputed=True)

@@ -163,7 +163,7 @@ def _sorted_distinct_scan(folded, key: str, val_cols, block_fn):
     per-distinct rows (``cum_before`` = total ``cnt`` of all smaller keys;
     ``val_cols`` must include ``cnt``). Returns the list of result refs.
 
-    This replaces ``Dataset.groupby().aggregate()`` for ordered
+    This replaces Ray Data's grouped ``aggregate`` for ordered
     distinct-key statistics — the partial fold + sort costs a fraction of
     Ray's generic hash groupby at the same exactness (measured 9.0 s ->
     ~1.5 s on a 600k-row column), and the ordered scan is something the

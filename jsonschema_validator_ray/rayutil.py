@@ -17,9 +17,12 @@ instead.
 block refs; :func:`collect_partials` (and :func:`fold_partials` on top of it)
 fetches those blocks. Every operator collects through them, so the
 materialize-first rule and the worker-import probe live here only.
-:func:`bucket_groups` is likewise the one keyed hash-bucket shuffle: of the
-single-input grouped operators, and, in its multi-input form, of the
-co-partitioned joins, merges and dedups whose sides meet per bucket.
+:func:`bucket_groups` is likewise the package's one keyed shuffle and its
+only ``groupby``: of the single-input grouped operators, LSH banding,
+prefix filters, IVF and packing (whose per-bucket code scans each key's
+rows, since several keys may share a bucket), and, in its multi-input
+form, of the co-partitioned joins, merges and dedups whose sides meet per
+bucket.
 """
 
 from __future__ import annotations
@@ -153,11 +156,19 @@ def default_buckets() -> int:
     return 4 * avail_cpus()
 
 
+def _reserved_clash(names, reserved) -> None:
+    clash = sorted(set(reserved) & set(names))
+    if clash:
+        raise ValueError(f"bucket_groups: input columns {clash} clash with "
+                         f"the shuffle's reserved columns {list(reserved)}")
+
+
 def bucket_tagger(key: str, n_buckets: int, prepare=None):
     """The map side of :func:`bucket_groups`: a batch function that runs
     ``prepare`` (optional per-batch filter or pre-aggregation), strips the
     schema metadata (:func:`strip_meta`) and appends ``_bucket`` =
-    ``np_column_hash(key) % n_buckets``."""
+    ``np_column_hash(key) % n_buckets``. A batch that already carries
+    ``_bucket`` raises ``ValueError``."""
     import numpy as np
     import pyarrow as pa
 
@@ -167,6 +178,7 @@ def bucket_tagger(key: str, n_buckets: int, prepare=None):
 
     def tag(batch):
         t = strip_meta(batch if prepare is None else prepare(batch))
+        _reserved_clash(t.column_names, ["_bucket"])
         h = (np_column_hash(t[key]) % n).astype(np.int64)
         return t.append_column("_bucket", pa.array(h, pa.int64()))
     return tag
@@ -182,6 +194,8 @@ def bucket_groups(ds, key, per_bucket=None, *, prepare=None, columns=None):
     :func:`bucket_tagger` in ONE ``map_batches`` (``prepare`` runs there,
     before the hash), then one ``groupby`` on ``_bucket`` + ``map_groups``;
     each bucket reaches ``per_bucket`` with ``_bucket`` already dropped.
+    Rows that already carry ``_bucket`` raise ``ValueError``: before any
+    Ray work when ``columns`` names it, else in the tag task.
 
     **Multi input** ``bucket_groups(sides, per_bucket)``: ``sides`` is a
     list of ``(ds, key, prepare, schema)``, where ``schema`` is the layout
@@ -206,6 +220,7 @@ def bucket_groups(ds, key, per_bucket=None, *, prepare=None, columns=None):
         per_bucket = key
     else:
         if columns is not None:
+            _reserved_clash(columns, ["_bucket"])
             ds = ds.select_columns(list(dict.fromkeys(columns)))
         tagged = ds.map_batches(bucket_tagger(key, default_buckets(), prepare),
                                 batch_format="pyarrow", zero_copy_batch=True)
@@ -234,11 +249,7 @@ def _tag_sides(sides):
     for _ds, key, _prepare, schema in sides:
         schema = getattr(schema, "base_schema", schema)  # ray Schema -> Arrow
         schema = pa.schema(list(zip(schema.names, schema.types)))
-        clash = sorted({"_bucket", "_side"} & set(schema.names))
-        if clash:
-            raise ValueError(f"bucket_groups: input columns {clash} clash "
-                             "with the shuffle's reserved columns "
-                             "['_bucket', '_side']")
+        _reserved_clash(schema.names, ["_bucket", "_side"])
         if key not in schema.names:
             raise ValueError(f"bucket_groups: key {key!r} is not a column "
                              f"of its side {schema.names}")

@@ -28,8 +28,9 @@ Check semantics (FIXTURES.md §B), per conversation ordered by
   duplicated turn compares its latest ts with the next turn whatever the
   physical row order.
 
-Also home to the shared hash/run primitives of the ops' hash-bucket
-groupbys (``np_column_hash``, ``run_starts``, ``segmented_running_max``).
+Also home to the shared hash/run primitives of the ops' keyed shuffles
+(``np_column_hash`` tags ``rayutil.bucket_groups`` buckets; ``run_starts``
+and ``segmented_running_max`` scan the keys inside a bucket).
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ def merge_run_boundaries(boundaries: pa.Table, gc: GroupCheck) -> pa.Table:
     }, schema=VIOLATION_SCHEMA)
 
 
-# --- hash/run primitives shared by the ops' hash-bucket groupbys ---------
+# --- hash/run primitives shared by the ops' keyed shuffles ---------------
 
 _FNV_OFFSET = np.uint64(1469598103934665603)
 _FNV_PRIME = np.uint64(1099511628211)

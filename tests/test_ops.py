@@ -667,8 +667,9 @@ def test_ngram_jaccard_hot_gram_bounded(ray_session):
 
 def test_jaccard_verify_sharded_matches_broadcast(ray_session):
     """The fully sharded verify route (taken when candidate pairs outgrow
-    pair_cap_bytes) returns EXACTLY the broadcast route's pairs — same ids,
-    same jaccard values."""
+    pair_cap_bytes, or their docs' sets outgrow broadcast_cap_bytes)
+    returns EXACTLY the broadcast route's pairs — same ids, same jaccard
+    values."""
     import ray.data
 
     from jsonschema_validator_ray.ops.dedup import _jaccard_verify_pairs
@@ -685,9 +686,10 @@ def test_jaccard_verify_sharded_matches_broadcast(ray_session):
     kw = dict(id_column="doc_id", text_column="text", k=5,
               verify_threshold=0.5)
     base = _jaccard_verify_pairs(docs, pairs, **kw)
-    shard = _jaccard_verify_pairs(docs, pairs, **kw, pair_cap_bytes=1)
-    assert base.num_rows == shard.num_rows >= 1
-    assert base.to_pydict() == shard.to_pydict()
+    assert base.num_rows >= 1
+    for cap in ("pair_cap_bytes", "broadcast_cap_bytes"):
+        shard = _jaccard_verify_pairs(docs, pairs, **kw, **{cap: 1})
+        assert base.to_pydict() == shard.to_pydict(), cap
 
 
 def test_jaccard_verify_sharded_ten_million_pairs(ray_session):

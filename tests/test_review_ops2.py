@@ -307,60 +307,61 @@ def test_transcript_ops_ignore_wide_unused_column(ray_session, monkeypatch):
 
 
 def test_bucket_shuffle_only_in_rayutil():
-    """rayutil.bucket_groups is the one keyed hash-bucket shuffle of the
-    grouped ops and of the co-partitioned joins, merge, index and keyed
-    dedups: no module re-tags batches, unions sides or groups on a hash tag
-    by hand, and no such op takes a bucket count."""
+    """rayutil.bucket_groups is the package's one keyed shuffle: no other
+    module of the package and no gate query calls ``groupby(`` or
+    ``map_groups`` or does bucket arithmetic, no op re-tags batches,
+    unions sides or hashes a key column by hand, and no op or query takes
+    a bucket count."""
     import inspect
     import pathlib
     import re
 
     from jsonschema_validator_ray import rayutil
-    from jsonschema_validator_ray.ops import (aggregates, dedup, index, join,
-                                              merge, sampling, stats, text)
 
-    pkg = pathlib.Path(__file__).resolve().parent.parent \
-        / "jsonschema_validator_ray"
+    root = pathlib.Path(__file__).resolve().parent.parent
+    pkg = root / "jsonschema_validator_ray"
     assert (pkg / "rayutil.py").read_text().count('groupby("_bucket")') == 1
     assert not inspect.signature(rayutil.default_buckets).parameters
+    entry = root / "__ray_entry__.py"
+    for f in sorted(pkg.rglob("*.py")) + [entry]:
+        if f == pkg / "rayutil.py":
+            continue
+        src = f.read_text()
+        for banned in ("groupby(", "map_groups", "% np.uint64(n_buckets)"):
+            assert banned not in src, (f.name, banned)
+    for f in sorted((pkg / "ops").glob("*.py")) + [entry]:
+        src = f.read_text()
+        assert not re.search(r"\bn_buckets\b", src), f.name
+        if f != entry:      # the gate unions generated rows into a corpus
+            for banned in ('"_bucket"', '"_jb"', '"_side"', "np_column_hash",
+                           ".union("):
+                assert banned not in src, (f.name, banned)
 
-    def public_functions(mod):
-        return [(name, fn) for name, fn
-                in inspect.getmembers(mod, inspect.isfunction)
-                if fn.__module__ == mod.__name__ and not name.startswith("_")]
 
-    for mod in (aggregates, sampling, stats, text):
-        src = pathlib.Path(mod.__file__).read_text()
-        for banned in ('groupby("_bucket")', "% np.uint64(n_buckets)",
-                       '"_bucket"', "np_column_hash"):
-            assert banned not in src, (mod.__name__, banned)
-        assert not re.search(r"\bn_buckets\b", src), mod.__name__
-        for name, fn in public_functions(mod):
-            assert "n_buckets" not in inspect.signature(fn).parameters, name
-    sources = [(mod.__name__, pathlib.Path(mod.__file__).read_text())
-               for mod in (join, merge, index)] \
-        + [(fn.__name__, inspect.getsource(fn))
-           for fn in (dedup.dedup_against_snapshot, dedup.chunk_dedup)]
-    for name, src in sources:
-        for banned in ("groupby(", '"_jb"', '"_side"', "np_column_hash",
-                       ".union(", "n_buckets"):
-            assert banned not in src, (name, banned)
-    # connected_components' raw-task buckets are a partition count, not a
-    # column-hash shuffle
-    for mod in (join, merge, index, dedup):
-        for name, fn in public_functions(mod):
-            if name != "connected_components":
-                assert "n_buckets" not in inspect.signature(fn).parameters, \
-                    (mod.__name__, name)
+def test_bucket_groups_reserved_column_in_single_input(ray_session):
+    """A single-input shuffle whose rows already carry ``_bucket`` fails
+    with a message naming it: in the tag task for a row-keeping op, and
+    before any Ray work when ``columns=`` names it."""
+    import ray.data
+
+    from jsonschema_validator_ray.ops.aggregates import (grouped_argmax,
+                                                         grouped_quantiles)
+
+    t = pa.table({"k": [1, 1, 2], "v": [3, 4, 5], "_bucket": [0, 0, 0]})
+    clash = r"ValueError: bucket_groups: input columns \['_bucket'\]"
+    with pytest.raises(Exception, match=clash):     # the task's traceback
+        grouped_argmax(ray.data.from_arrow(t), "k", "v").take_all()
+    with pytest.raises(ValueError, match=clash[len("ValueError: "):]):
+        grouped_quantiles(ray.data.from_arrow(t), "k", "_bucket", [0.5])
 
 
 def _routed_shuffles():
     """One small call per op on the co-partitioned or keyed shuffles of
-    ops/join.py, ops/merge.py, ops/index.py and the keyed dedups; each
-    returns its collected output sorted by every column."""
+    ops/join.py, ops/merge.py, ops/index.py, ops/dedup.py and ops/pack.py;
+    each returns a Dataset or a table."""
     import ray.data
 
-    from jsonschema_validator_ray.ops import dedup, index, join, merge
+    from jsonschema_validator_ray.ops import dedup, index, join, merge, pack
 
     rng = np.random.default_rng(5)
     n = 300
@@ -387,6 +388,15 @@ def _routed_shuffles():
                               for _ in range(90)]})
     old_docs = pa.table({"doc_id": np.arange(30),
                          "text": docs["text"].to_pylist()[::3]})
+    twins = pa.table({"doc_id": np.arange(90),
+                      "text": docs["text"].to_pylist()[:30] * 3})
+    vecs = pa.table({"vec_id": np.arange(60), "embedding": pa.array(
+        rng.normal(size=(60, 8)).tolist(), pa.list_(pa.float32()))})
+    sized = docs.append_column("sz", pa.array(rng.integers(1, 9, 90)))
+    # 3160 pairs: over 2048, so the verify runs two vp partitions, and a
+    # doc's set is placed with both
+    r, c = np.triu_indices(80, k=1)
+    cand = pa.table({"id_a": r, "id_b": c})
 
     def ds(t, blocks=3):
         return ray.data.from_arrow(t).repartition(blocks)
@@ -414,21 +424,47 @@ def _routed_shuffles():
                                 route="shuffle"),
         "chunk_dedup": lambda: dedup.chunk_dedup(ds(docs), "doc_id",
                                                  "text", window=2),
+        "minhash_near_duplicates": lambda: dedup.minhash_near_duplicates(
+            ds(docs), "doc_id", "text", verify_threshold=0.5),
+        "simhash_near_duplicates": lambda: dedup.simhash_near_duplicates(
+            ds(twins), "doc_id", "text"),
+        "ngram_hot_grams": lambda: dedup.ngram_hot_grams(
+            dedup.ngram_gram_blobs(ds(docs), "doc_id", "text", 2), 3),
+        "ngram_jaccard_near_duplicates": lambda: dedup
+        .ngram_jaccard_near_duplicates(ds(docs), "doc_id", "text", n=2,
+                                       threshold=0.5),
+        # threshold -1 keeps every pair that shares a centroid, so a bucket
+        # compared as a whole would add the pairs that share none
+        "embedding_neardup_ivf": lambda: dedup.embedding_neardup_ivf(
+            ds(vecs), "vec_id", "embedding", threshold=-1.0, n_centroids=4,
+            n_assign=1),
+        "pack_sequences": lambda: pack.pack_sequences(
+            ds(sized), "doc_id", "sz", capacity=12, part_size=10),
+        "concat_packed": lambda: pack.concat_packed(
+            ds(sized), "doc_id", "sz", "text", capacity=12, part_size=10),
+        "_jaccard_verify_pairs": lambda: dedup._jaccard_verify_pairs(
+            ds(docs), ds(cand), "doc_id", "text", k=3, verify_threshold=0.5,
+            pair_cap_bytes=1),
     }
 
 
 @pytest.mark.parametrize("op", [
     "apply_changes", "asof_join", "build_inverted_index", "chunk_dedup",
     "dedup_against_snapshot_shuffle", "interval_overlap_join",
-    "range_agg_join", "reduce_side_hash_join", "table_diff"])
+    "range_agg_join", "reduce_side_hash_join", "table_diff",
+    "minhash_near_duplicates", "simhash_near_duplicates", "ngram_hot_grams",
+    "ngram_jaccard_near_duplicates", "embedding_neardup_ivf",
+    "pack_sequences", "concat_packed", "_jaccard_verify_pairs"])
 def test_routed_shuffles_do_not_depend_on_bucket_count(ray_session, request,
                                                        op):
     """Each op's output at the default bucket count equals its output with
-    every key in one bucket (chunk_dedup covers both of its shuffles)."""
+    every key in one bucket (chunk_dedup and the sharded
+    _jaccard_verify_pairs cover both of their shuffles)."""
     def run():
-        t = pa.concat_tables(
-            b for b in collect_partials(_routed_shuffles()[op]())
-            if b.num_columns)
+        t = _routed_shuffles()[op]()
+        if not isinstance(t, pa.Table):
+            t = pa.concat_tables(b for b in collect_partials(t)
+                                 if b.num_columns)
         return t.sort_by([(c, "ascending") for c in t.column_names])
 
     want = run()
