@@ -4423,13 +4423,14 @@ def q_lineage_manifest_transcripts(sf_dir: str) -> pa.Table:
 
 
 def q_salted_validate_transcripts(sf_dir: str) -> pa.Table:
-    """The flagship validation through the global-sort fallback, kept as
-    the skew-handling gate row: a Dataset source cannot be re-read for the
-    one-pass plan's exact re-check, so ``validate()`` checks groups with the
-    range sort, whose partitioner splits the corpus's hot conversations
-    across blocks while the run-boundary merge restores exact cross-block
-    semantics. Oracled by the SAME SQL as the flagship, so the row proves
-    the fallback stays exact."""
+    """The flagship validation through the keyed fallback, kept as the
+    skew-handling gate row: a ``Dataset`` source in 4,096-row batches
+    splits conversations across batches and its cross-file duplicates
+    overlap other runs, and with no files to re-read ``validate()`` checks
+    groups on the keyed shuffle, every conversation (hot ones included)
+    whole in one bucket. The query refuses to answer from any other plan.
+    Oracled by the SAME SQL as the flagship, so the row proves the
+    fallback stays exact."""
     import ray.data
 
     from jsonschema_validator_ray.pipelines import validate
@@ -4437,12 +4438,16 @@ def q_salted_validate_transcripts(sf_dir: str) -> pa.Table:
 
     gen, spec = _ensure_current_corpus(sf_dir)
     files = list(gen.files)
-    # 16 sorted blocks: a hot conversation spans several of them, and the
-    # sort's cost stays that of a file source (Ray's default read split
-    # made ~60 blocks: 4-13 s with 32 Ray CPUs on a one-core host)
+    # 16 read blocks keep the re-read's cost that of a file source (Ray's
+    # default read split made ~60 blocks: 4-13 s with 32 Ray CPUs on a
+    # one-core host); the small batches keep the route keyed at every
+    # scale factor, since the whole sf0.01 corpus fits one default batch
     res = validate(ray.data.read_parquet(
         files, schema=clean_read_schema(files[0]), override_num_blocks=16),
-        spec=spec)
+        spec=spec, batch_size=4096)
+    if res.metrics["wide_stage"] != "keyed":
+        raise AssertionError(f"expected the keyed group check, got "
+                             f"{res.metrics['wide_stage']!r}")
     return res.violations.sort_by([
         ("conv_id", "ascending"), ("turn_idx", "ascending"),
         ("constraint_id", "ascending")])
@@ -4561,7 +4566,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     validate/verdict pair plus the checkpoint-resume run, the per-partition
     lineage-manifest surface, and the
     salted-groupby skew-splitting run (resume and salted reuse the flagship
-    oracle — proving resume == single-shot and salted == sort bitwise), each
+    oracle — proving resume == single-shot and salted == keyed bitwise), each
     constraint kind (struct/ref/enum/
     mono/unique plus the cross-column table CHECK kind; mono and TPC-H Q1
     are tail-listed variants), aggregation + table profiler +

@@ -78,7 +78,8 @@ class StructDecode:
 @dataclass(frozen=True)
 class GroupCheck:
     """Wide-stage check: monotonicity + key uniqueness per group
-    (global sort on (group_key, order_by) → adjacent scan)."""
+    (rows sorted by (group_key, order_by) → adjacent scan; see
+    stages/groupcheck.py)."""
 
     group_key: str = "conv_id"
     order_by: str = "turn_idx"

@@ -14,12 +14,14 @@ Lifecycle (SURVEY.md §3.5; the analog of the reference's three entry points):
      whose runs overlap (duplicate rows in another file, a split at a
      duplicated turn) are re-checked exactly from their own rows, read
      with predicate pushdown, and their batch-local group rows are dropped.
-     The plan falls back to the global sort wide stage — a range sort of a
-     3-column re-read on (conv_id, turn_idx, ts), one sorted-run pass per
-     block and the boundary merge — when the source is a ``Dataset`` (no
-     files to re-read) or when the overlapping conversations hold more
-     than ``MAX_RECHECK_SHARE`` of the checked rows (input not clustered
-     by conversation, or one hot conversation copied into another file).
+     A ``Dataset`` source whose runs all follow one another is done here,
+     as a file source is. The plan falls back to the keyed group check —
+     a 3-column re-read shuffled on the group key by
+     ``rayutil.bucket_groups``, every conversation checked whole in its
+     bucket — when a ``Dataset`` source has any overlapping runs (no files
+     to re-read) or when the overlapping conversations hold more than
+     ``MAX_RECHECK_SHARE`` of the checked rows (input not clustered by
+     conversation, or one hot conversation copied into another file).
      ``metrics`` records the plan taken (``wide_stage``), why it fell back
      and how many conversations and rows were re-checked.
   4. Driver: merge partial sketches → drift verdicts; verdict = no
@@ -36,7 +38,6 @@ targeted re-check for those whose runs overlap.
 from __future__ import annotations
 
 import base64
-import dataclasses
 import json
 import os
 import time
@@ -49,10 +50,10 @@ import pyarrow.parquet as pq
 
 from ..constraints.ir import ConstraintIR, compile_constraints
 from ..constraints.kernels import VIOLATION_SCHEMA
-from ..rayutil import collect_partials, strip_meta
-from ..stages.groupcheck import (RUN_BOUNDARY_SCHEMA, SortedRunChecker,
-                                 local_group_check, merge_run_boundaries,
-                                 resolve_runs, split_overlapping_runs)
+from ..rayutil import bucket_groups, collect_partials, strip_meta
+from ..stages.groupcheck import (RUN_BOUNDARY_SCHEMA, local_group_check,
+                                 merge_run_boundaries, resolve_runs,
+                                 split_overlapping_runs, stack_check_out)
 from ..stages.rowstage import (COMBINED_SCHEMA, RowValidateAndSketch,
                                select_kind, split_combined,
                                split_group_check)
@@ -60,18 +61,19 @@ from ..state.sketches import SketchState
 
 Source = Union[str, Sequence[str], "ray.data.Dataset"]  # noqa: F821
 
-# The one-pass group check falls back to the global sort when the driver
+# The one-pass group check falls back to the keyed check when the driver
 # would re-check more than this share of the checked rows: the rows of the
 # conversations whose runs overlap, which the driver process alone reads
 # back and holds. scripts/recheck_crossover.py (1 Ray CPU on a one-core
-# host, 353,184 rows in 4 files, 65,536-row batches, the rows of a chosen
-# share of conversations scattered over the files; medians of 5) measured
-# whole calls, local vs sort: 0.75 vs 1.00 s at 1% re-checked rows, 0.70 vs
-# 0.94 s at 10%, 0.69 vs 1.05 s at 19%, 0.93 vs 1.24 s at 45% and 1.17 vs
-# 1.34 s at 89%. On one CPU the local plan always wins. Its driver stage
-# grows 0.05 -> 0.38 s (about 1 us per re-checked row, in one process);
-# the sort stage's 0.33-0.60 s spreads over the cluster's CPUs, and spread
-# evenly over 4 CPUs it matches the re-check at about 10% re-checked rows.
+# host, 176,576 rows in 4 files, 65,536-row batches, the rows of a chosen
+# share of conversations scattered over the files; medians of 4 runs of 5
+# reps) measured whole calls, local vs keyed: 0.55 vs 0.87 s at 2%
+# re-checked rows, 0.60 vs 0.93 s at 10%, 0.63 vs 0.93 s at 19%, 0.77 vs
+# 0.99 s at 46% and 0.82 vs 1.06 s at 92%. On one CPU the local plan
+# always wins. Its driver stage grows 0.04 -> 0.21 s in one process; the
+# keyed stage's 0.36-0.41 s spreads over the cluster's CPUs, and spread
+# evenly over 4 CPUs it passes the re-check between 19% and 46%. The bound
+# stays below that crossing: the re-checked rows are driver memory.
 MAX_RECHECK_SHARE = 0.10
 
 
@@ -108,9 +110,10 @@ def _dataset_from(source: Source, columns: Optional[list] = None,
     The right block size is STAGE-dependent (measured at 70M turns, 32 cpus):
     the embarrassingly-parallel row stage wants many small blocks (~32 MB —
     64→256 blocks cut its wall 28 s → 10 s: long read tasks starve the map
-    otherwise), while the wide stage's sort shuffle pays superlinear per-block
-    overhead and wants few large ones (~128 MB — 256 blocks blew its wall up
-    25x). Callers pick via ``target_block_bytes`` / ``blocks_per_cpu_floor``.
+    otherwise), while a shuffle's all-to-all cost grows with the block
+    count, so the keyed group check's re-read takes few large ones (the
+    128 MB default; 256 blocks made the range sort it replaced 25x slower).
+    Callers pick via ``target_block_bytes`` / ``blocks_per_cpu_floor``.
     parquet compresses this corpus ~4x; sizing targets IN-MEMORY bytes."""
     import ray
     import ray.data
@@ -148,77 +151,61 @@ def _collect(ds) -> Optional[pa.Table]:
         else None
 
 
-def _wide_stage(source: Source, gc,
-                merge_boundaries_now: bool) -> tuple[pa.Table, pa.Table]:
-    """The fallback group check over a pruned 3-column re-read: a global
-    range sort on (group_key, order_by, ts), then one vectorized
-    ``SortedRunChecker`` pass per sorted block. The range partitioner splits
-    hot conversations at block granularity; the driver-side boundary merge
-    restores exact semantics across the splits. Returns (violations, run
-    records)."""
+def _keyed_check(source: Source, gc) -> tuple[pa.Table, pa.Table]:
+    """The fallback group check: a pruned 3-column re-read shuffled on the
+    group key by ``bucket_groups``. Every conversation meets whole in one
+    bucket, so ``local_group_check`` there is exact and emits one run
+    record per conversation. Returns (final violations, run records)."""
     # ts is only projected when mono is checked: a unique-only spec must
     # not require (or cast) a ts column at all (review r4)
     cols = [gc.group_key, gc.order_by] + \
         ([gc.ts_column] if gc.check_mono else [])
-    gds = _dataset_from(source, columns=cols)  # pruned second read
 
-    # rows with a null group/order key are excluded from group checks (they
-    # already fired required/type kernels) — and Ray's sort key comparators
-    # cannot order None against strings anyway
-    def _drop_null_keys(batch: pa.Table) -> pa.Table:
+    # rows with a null group/order key are excluded from group checks:
+    # they already fired required/type kernels
+    def drop_null_keys(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.and_(pc.is_valid(batch[gc.group_key]),
+                                    pc.is_valid(batch[gc.order_by])))
 
-        # strip_meta: metadata-carrying schemas are unhashable and defeat
-        # Ray's schema dedup inside the downstream sort shuffle
-        return strip_meta(batch).filter(
-            pc.and_(pc.is_valid(batch[gc.group_key]),
-                    pc.is_valid(batch[gc.order_by])))
+    def per_bucket(rows: pa.Table) -> pa.Table:
+        return stack_check_out(*local_group_check(rows, gc))
 
-    # ts breaks turn_idx ties, so duplicated turns order the same way in
-    # every block and the boundary merge is exact at a duplicate seam
-    sds = gds.map_batches(_drop_null_keys, batch_format="pyarrow",
-                          zero_copy_batch=True).sort(cols)
-    # edges-only boundaries suffice within one sorted stream; the
-    # partitioned runner needs every run's record for cross-partition
-    # overlap detection (independently sorted partitions)
-    checker = SortedRunChecker(
-        gc, boundary_mode="edges" if merge_boundaries_now else "all")
-    out = _collect(sds.map_batches(checker, batch_format="pyarrow",
-                                   zero_copy_batch=True))
+    out = _collect(bucket_groups(_dataset_from(source, columns=cols),
+                                 gc.group_key, per_bucket,
+                                 prepare=drop_null_keys))
     if out is None or "kind" not in out.column_names:
-        # all blocks emitted empty tables: Ray loses the schema of an
-        # all-empty map output — semantically there is no wide-stage output
+        # no bucket emitted rows: Ray loses the schema of an empty output
         return VIOLATION_SCHEMA.empty_table(), RUN_BOUNDARY_SCHEMA.empty_table()
-    viol = select_kind(out, "violation", VIOLATION_SCHEMA)
-    runs = select_kind(out, "boundary", RUN_BOUNDARY_SCHEMA)
-    if merge_boundaries_now:
-        viol = pa.concat_tables([viol, merge_run_boundaries(runs, gc)])
-    return viol, runs
+    return (select_kind(out, "violation", VIOLATION_SCHEMA),
+            select_kind(out, "boundary", RUN_BOUNDARY_SCHEMA))
 
 
 def _group_check(source: Source, paths: Optional[list], combined: pa.Table,
                  gc, merge_boundaries_now: bool):
     """Resolve the row stage's one-pass group check, or fall back to the
-    sort wide stage (see the module docstring). Returns (group violations,
-    run records, plan metrics). With ``merge_boundaries_now=False``
-    (partitioned mode) the batch-local rows and the raw run records are
-    returned as they are: ``finalize`` resolves them across partitions."""
+    keyed group check (see the module docstring). Returns (group
+    violations, run records, plan metrics). With
+    ``merge_boundaries_now=False`` (partitioned mode) the batch-local rows
+    and the raw run records are returned as they are: ``finalize`` resolves
+    them across partitions."""
     plan = {"wide_stage": "local", "wide_stage_fallback": None,
             "rechecked_convs": 0, "rechecked_rows": 0}
-    if paths is None:
-        plan["wide_stage_fallback"] = "dataset source: no files to re-read"
-    else:
-        group, counted = split_group_check(combined)
-        mergeable, overlap = split_overlapping_runs(counted)
-        n_rows = pc.sum(counted["n_rows"]).as_py() or 0
-        n_recheck = pc.sum(counted.filter(pc.is_in(
-            counted["conv_id"], value_set=overlap))["n_rows"]).as_py() or 0
-        if n_recheck > MAX_RECHECK_SHARE * n_rows:
-            plan["wide_stage_fallback"] = (
-                f"{n_recheck} of {n_rows} rows in conversations with "
-                f"overlapping runs (re-check bound {MAX_RECHECK_SHARE:.0%})")
+    group, counted = split_group_check(combined)
+    mergeable, overlap = split_overlapping_runs(counted)
+    n_rows = pc.sum(counted["n_rows"]).as_py() or 0
+    n_recheck = pc.sum(counted.filter(pc.is_in(
+        counted["conv_id"], value_set=overlap))["n_rows"]).as_py() or 0
+    if paths is None and len(overlap):
+        plan["wide_stage_fallback"] = (
+            f"dataset source: {len(overlap)} conversations with overlapping "
+            f"runs and no files to re-read")
+    elif n_recheck > MAX_RECHECK_SHARE * n_rows:
+        plan["wide_stage_fallback"] = (
+            f"{n_recheck} of {n_rows} rows in conversations with "
+            f"overlapping runs (re-check bound {MAX_RECHECK_SHARE:.0%})")
     if plan["wide_stage_fallback"] is not None:
-        viol, runs = _wide_stage(source, gc, merge_boundaries_now)
-        return viol, runs, {**plan, "wide_stage": "sort"}
+        viol, runs = _keyed_check(source, gc)
+        return viol, runs, {**plan, "wide_stage": "keyed"}
     if merge_boundaries_now:
         group = resolve_runs(group, mergeable, overlap, gc,
                              lambda convs: _recheck_convs(paths, convs, gc))
@@ -235,8 +222,9 @@ def validate(source: Source, spec: Optional[dict] = None,
 
     The row stage runs as plain tasks, not an actor pool: its setup (the
     constraint IR) is cheap, and tasks reuse warm workers with no pool
-    ramp-up. For a file source it is the only Ray Data execution unless the
-    group check falls back to the sort wide stage."""
+    ramp-up. It is the only Ray Data execution unless the group check falls
+    back to the keyed check. ``boundaries`` (the run records) is returned
+    only with ``merge_boundaries_now=False``, for ``finalize``."""
     from ..rayutil import ensure_worker_importable
     ensure_worker_importable()
 
@@ -244,16 +232,12 @@ def validate(source: Source, spec: Optional[dict] = None,
         ir = compile_constraints(spec)
     gc = ir.group_check
     paths = _source_paths(source)
-    # a Dataset cannot be re-read for the exact re-check, so its group
-    # check runs in the sort wide stage, not in the row stage
-    stage_ir = ir if paths is not None \
-        else dataclasses.replace(ir, group_check=None)
 
     # row stage: many small blocks (pipeline-friendly; see _dataset_from)
     ds = _dataset_from(source, target_block_bytes=32 * 1024 * 1024,
                        blocks_per_cpu_floor=8)
     t0 = time.perf_counter()
-    stage = RowValidateAndSketch(stage_ir, mode=mode, sketch=sketch)
+    stage = RowValidateAndSketch(ir, mode=mode, sketch=sketch)
     combined_t = _collect(ds.map_batches(
         stage, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=batch_size))
@@ -270,9 +254,11 @@ def validate(source: Source, spec: Optional[dict] = None,
             "rechecked_convs": 0, "rechecked_rows": 0}
     t1 = time.perf_counter()
     if gc is not None:
-        group, boundaries, plan = _group_check(
+        group, runs, plan = _group_check(
             source, paths, combined_t, gc, merge_boundaries_now)
         viol_parts.append(group)
+        if not merge_boundaries_now:
+            boundaries = runs
     t_wide = time.perf_counter() - t1
     all_viol = pa.concat_tables(viol_parts)
 
@@ -297,7 +283,7 @@ def validate(source: Source, spec: Optional[dict] = None,
                                      for k, v in by_constraint.items()},
         "wall_s": round(time.perf_counter() - t0, 3),
         "wall_row_stage_s": round(t_row, 3),
-        # the sort stage on the fallback path; the driver-side seam merge
+        # the keyed check on the fallback path; the driver-side seam merge
         # and re-check on the one-pass path
         "wall_wide_stage_s": round(t_wide, 3),
         "wall_driver_merge_s": round(

@@ -19,10 +19,10 @@ fetches those blocks. Every operator collects through them, so the
 materialize-first rule and the worker-import probe live here only.
 :func:`bucket_groups` is likewise the package's one keyed shuffle and its
 only ``groupby``: of the single-input grouped operators, LSH banding,
-prefix filters, IVF and packing (whose per-bucket code scans each key's
-rows, since several keys may share a bucket), and, in its multi-input
-form, of the co-partitioned joins, merges and dedups whose sides meet per
-bucket.
+prefix filters, IVF, packing and ``validate()``'s keyed group check (whose
+per-bucket code scans each key's rows, since several keys may share a
+bucket), and, in its multi-input form, of the co-partitioned joins,
+merges and dedups whose sides meet per bucket.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Ray Data stages: the fused row-validate+sketch stage (with its one-pass
 group check) and the sorted-run group checker it shares with the fallback
-sort wide stage."""
+keyed group check."""
 
 from .rowstage import (RowValidateAndSketch, COMBINED_SCHEMA, split_combined,
                        split_group_check)

@@ -1,20 +1,20 @@
 """Group checks: (conv_id, turn_idx) uniqueness + ts monotonicity.
 
-Both paths of ``validate()`` end in the same vectorized sorted-run pass
-(``SortedRunChecker``), which checks every conversation run of a block and
-emits one small run record per run:
+Both plans of ``validate()`` end in the same vectorized sorted-run pass
+(``local_group_check``: a local sort, then ``SortedRunChecker``), which
+checks every conversation run of a table and emits one small run record
+per run:
 
-- one pass (the default for file sources): each row-stage batch sorts its
-  own group-check rows (``local_group_check``) and checks them there. The
-  driver splits the run records with ``split_overlapping_runs``: runs of a
-  conversation that follow one another merge exactly
+- one pass (the default): each row-stage batch checks its own group-check
+  rows. The driver splits the run records with ``split_overlapping_runs``:
+  runs of a conversation that follow one another merge exactly
   (``merge_run_boundaries``); conversations whose runs overlap are
   re-checked exactly from their own rows.
-- global sort (the fallback): ``ds.sort([conv_id, turn_idx, ts])``
-  range-partitions a projected 3-column stream and each sorted block is
-  checked. The range partitioner splits hot conversations at block
-  granularity (bounded block size regardless of key skew) and the boundary
-  merge restores exact global semantics.
+- keyed (the fallback): a 3-column re-read is shuffled on the group key by
+  ``rayutil.bucket_groups``, so each conversation meets whole in one bucket
+  and the bucket's check is exact, with one run record per conversation.
+  The price is the per-key contract of every ``bucket_groups`` op: one
+  task holds a whole conversation's three projected columns.
 
 Check semantics (FIXTURES.md §B), per conversation ordered by
 ``(turn_idx, ts)``:
@@ -121,7 +121,7 @@ def _local_order(conv: pa.Array, tid: np.ndarray,
     group by dictionary code — a hash, not a string sort: codes number the
     conversations in order of first appearance, so they never decrease
     exactly when each conversation is one contiguous run. Null ts sort last
-    within their turn, as in Ray's sort."""
+    within their turn."""
     codes = _np(pc.dictionary_encode(conv).indices)
     tsk = np.where(ts == ts, ts, np.inf)
     ordered = (codes[1:] > codes[:-1]) | ((codes[1:] == codes[:-1]) & (
@@ -131,44 +131,40 @@ def _local_order(conv: pa.Array, tid: np.ndarray,
     return np.lexsort((tsk, tid, codes))
 
 
+def stack_check_out(viol: pa.Table, runs: pa.Table) -> pa.Table:
+    """One kind-tagged CHECK_OUT_SCHEMA table: the violations, then the run
+    records (columns a side lacks are null; ``n_rows`` is dropped)."""
+    k, r = viol.num_rows, runs.num_rows
+
+    def stacked(f: pa.Field) -> pa.Array:
+        if f.name == "kind":
+            return pa.concat_arrays([pa.repeat("violation", k),
+                                     pa.repeat("boundary", r)])
+        top = _as_array(viol[f.name]) if f.name in viol.column_names \
+            else pa.nulls(k, f.type)
+        bottom = _as_array(runs[f.name]) if f.name in runs.column_names \
+            else pa.nulls(r, f.type)
+        return pa.concat_arrays([top, bottom])
+
+    return pa.table([stacked(f) for f in CHECK_OUT_SCHEMA],
+                    schema=CHECK_OUT_SCHEMA)
+
+
 class SortedRunChecker:
     """Vectorized check of blocks whose conversations are runs sorted by
-    (group_key, order_by, ts) — the blocks of ``ds.sort`` in the fallback
-    wide stage, or a row-stage batch after ``local_group_check``'s sort."""
+    (group_key, order_by, ts), with one run record per run: a row-stage
+    batch or a keyed bucket after ``local_group_check``'s sort, or any
+    block already in that order."""
 
-    def __init__(self, gc: GroupCheck, boundary_mode: str = "edges"):
-        """boundary_mode: "edges" emits boundary records only for the FIRST and
-        LAST run of each block — after a global sort, a conversation's rows are
-        contiguous, so only those two runs can straddle a block split. This
-        keeps driver-side merge volume at 2 records per block instead of one
-        per conversation. "all" emits every run's record — required when
-        blocks are sorted independently (row-stage batches, partitions), so
-        ANY conversation can have runs in several blocks."""
-        if boundary_mode not in ("edges", "all"):
-            raise ValueError(f"boundary_mode must be 'edges' or 'all', "
-                             f"not {boundary_mode!r}")
+    def __init__(self, gc: GroupCheck):
         self.gc = gc
-        self.boundary_mode = boundary_mode
         self.cid_unique = f"unique:({gc.group_key},{gc.order_by})"
         self.cid_mono = f"mono:{gc.order_by}"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """CHECK_OUT_SCHEMA rows: violations, then run boundary records."""
-        viol, runs = self.check_rows(*_group_rows(batch, self.gc))
-        k, r = viol.num_rows, runs.num_rows
-
-        def stacked(f: pa.Field) -> pa.Array:
-            if f.name == "kind":
-                return pa.concat_arrays([pa.repeat("violation", k),
-                                         pa.repeat("boundary", r)])
-            top = _as_array(viol[f.name]) if f.name in viol.column_names \
-                else pa.nulls(k, f.type)
-            bottom = _as_array(runs[f.name]) if f.name in runs.column_names \
-                else pa.nulls(r, f.type)
-            return pa.concat_arrays([top, bottom])
-
-        return pa.table([stacked(f) for f in CHECK_OUT_SCHEMA],
-                        schema=CHECK_OUT_SCHEMA)
+        """CHECK_OUT_SCHEMA rows of a sorted block: violations, then run
+        records."""
+        return stack_check_out(*self.check_rows(*_group_rows(batch, self.gc)))
 
     def check_rows(self, conv: pa.Array, tid: np.ndarray,
                    ts: np.ndarray) -> tuple[pa.Table, pa.Table]:
@@ -212,10 +208,6 @@ class SortedRunChecker:
         idx = np.arange(n)
         first_v = np.minimum.reduceat(np.where(valid, idx, n), starts)
         last_v = np.maximum.reduceat(np.where(valid, idx, -1), starts)
-        if self.boundary_mode == "edges" and starts.size > 2:
-            edge = np.array([0, starts.size - 1])
-            starts, ends = starts[edge], ends[edge]
-            first_v, last_v = first_v[edge], last_v[edge]
         has_f, has_l = first_v < n, last_v >= 0
         fi, li = np.where(has_f, first_v, 0), np.where(has_l, last_v, 0)
         return viol, pa.table({
@@ -232,16 +224,16 @@ class SortedRunChecker:
 
 def local_group_check(batch: pa.Table,
                       gc: GroupCheck) -> tuple[pa.Table, pa.Table]:
-    """The one-pass group check of a single batch in any row order: sort its
+    """The group check of a single table in any row order: sort its
     group-check rows by (group_key, order_by, ts) and check them, with one
     run record per run. Violations are exact for a conversation whose rows
-    all sit in this batch; otherwise the driver resolves it from the
-    records."""
+    all sit in this table (always so in a keyed bucket); otherwise the
+    driver resolves it from the records."""
     conv, tid, ts = _group_rows(batch, gc)
     order = _local_order(conv, tid, ts)
     if order is not None:
         conv, tid, ts = conv.take(pa.array(order)), tid[order], ts[order]
-    return SortedRunChecker(gc, boundary_mode="all").check_rows(conv, tid, ts)
+    return SortedRunChecker(gc).check_rows(conv, tid, ts)
 
 
 def split_overlapping_runs(records: pa.Table) -> tuple[pa.Table, pa.Array]:
@@ -292,10 +284,10 @@ def resolve_runs(group: pa.Table, mergeable: pa.Table, overlap: pa.Array,
 
 def merge_run_boundaries(boundaries: pa.Table, gc: GroupCheck) -> pa.Table:
     """Driver-side merge over run records whose runs follow one another in
-    (conv_id, turn_idx, ts) order: the blocks of one global sort, or the
-    records ``split_overlapping_runs`` keeps. Restores exact global
-    semantics across block splits: duplicate keys straddling a split, and
-    ts regressions whose adjacent pair was cut by the split."""
+    (conv_id, turn_idx, ts) order: the records ``split_overlapping_runs``
+    keeps. Restores exact global semantics across batch splits: duplicate
+    keys straddling a split, and ts regressions whose adjacent pair was cut
+    by the split."""
     if boundaries.num_rows == 0:
         return VIOLATION_SCHEMA.empty_table()
     tbl = boundaries.sort_by([("conv_id", "ascending"), ("first_tid", "ascending")])
@@ -425,6 +417,7 @@ def run_starts(sorted_key) -> np.ndarray:
 
 __all__ = [
     "SortedRunChecker",
+    "stack_check_out",
     "local_group_check",
     "merge_run_boundaries",
     "resolve_runs",

@@ -1,12 +1,13 @@
 """Time validate()'s two group-check plans against each other at several
 overlap shares: the one-pass plan (batch-local checks, seam merge and the
-driver's exact re-check of conversations whose runs overlap) and the sort
-fallback. The figures behind ``pipelines.validate.MAX_RECHECK_SHARE``.
+driver's exact re-check of conversations whose runs overlap) and the keyed
+fallback (a 3-column re-read on ``rayutil.bucket_groups``). The figures
+behind ``pipelines.validate.MAX_RECHECK_SHARE``.
 
 A generator corpus is rewritten so that the rows of a chosen share of its
 conversations are scattered over the files (row-shuffled), which makes
 their runs overlap; the other conversations stay clustered. Each share is
-validated with the bound forced open (local) and shut (sort), alternating,
+validated with the bound forced open (local) and shut (keyed), alternating,
 and both plans must return the same violations.
 
 Usage: python scripts/recheck_crossover.py OUT_DIR [N_CONVS] [REPS] [SHARES]
@@ -89,10 +90,11 @@ def key(tbl: pa.Table) -> list:
 V.validate(gen.files, ir=ir)                      # warm-up
 for share in shares:
     files = scattered_corpus(share)
-    walls = {"local": [], "sort": []}
+    walls = {"local": [], "keyed": []}
     found = {}
     for r in range(reps):
-        for plan in (("local", "sort") if r % 2 == 0 else ("sort", "local")):
+        for plan in (("local", "keyed") if r % 2 == 0
+                     else ("keyed", "local")):
             V.MAX_RECHECK_SHARE = 2.0 if plan == "local" else -1.0
             t0 = time.perf_counter()
             res = V.validate(files, ir=ir)
@@ -102,7 +104,7 @@ for share in shares:
             found[plan] = key(res.violations)
             if plan == "local":
                 rechecked = res.metrics["rechecked_rows"]
-    assert found["local"] == found["sort"], share
+    assert found["local"] == found["keyed"], share
     print(json.dumps({
         "target_share": share, "rows": total,
         "rechecked_share": round(rechecked / total, 4),

@@ -44,13 +44,10 @@ def test_generator_deterministic(tmp_path):
     assert a.golden_violations.equals(b.golden_violations)
 
 
-# "sort" names the one wide stage: a range sort on (conv_id, turn_idx) and a
-# SortedRunChecker pass per sorted block.
-@pytest.mark.parametrize("wide_stage", ["sort"])
-def test_engine_matches_golden(ray_session, corpus, wide_stage):
+def test_engine_matches_golden(ray_session, corpus):
     gen, spec = corpus
     res = validate(gen.out_dir, spec=spec)
-    assert rows(res.violations) == rows(gen.golden_violations), wide_stage
+    assert rows(res.violations) == rows(gen.golden_violations)
     assert res.passed is False                      # row violations exist
     assert all(d["passed"] for d in res.drift)      # ...but no drift
     assert res.metrics["n_rows"] > gen.n_turns      # includes duplicated rows
@@ -69,11 +66,12 @@ def test_one_pass_rechecks_overlapping_conversations(ray_session, corpus):
     assert rows(res.violations) == rows(gen.golden_violations)
 
 
-def test_unclustered_and_dataset_sources_fall_back_to_sort(ray_session, corpus,
-                                                          tmp_path):
+def test_unclustered_and_dataset_sources_fall_back_to_keyed_check(
+        ray_session, corpus, tmp_path):
     """A row-shuffled multi-file corpus (one run record per conversation per
-    batch) and a Dataset source (nothing to re-read) take the global sort
-    fallback, say why in the metrics and still match the golden set."""
+    batch) and a Dataset source split into small batches (overlapping runs
+    and nothing to re-read) take the keyed fallback, say why in the metrics
+    and still match the golden set."""
     import ray.data
 
     # 3,000 conversations, so the one hot conversation (8,208 turns) does
@@ -88,22 +86,23 @@ def test_unclustered_and_dataset_sources_fall_back_to_sort(ray_session, corpus,
         pq.write_table(t.take(pa.array(part)), files[-1])
     ir = compile_constraints(spec_with_drift(reference_stats(3000)))
     res = validate(files, ir=ir, batch_size=256)
-    assert res.metrics["wide_stage"] == "sort"
+    assert res.metrics["wide_stage"] == "keyed"
     assert "overlapping runs" in res.metrics["wide_stage_fallback"]
     assert rows(res.violations) == rows(big.golden_violations)
 
     gen, spec = corpus
-    res = validate(ray.data.read_parquet(gen.files), spec=spec)
-    assert res.metrics["wide_stage"] == "sort"
+    res = validate(ray.data.read_parquet(gen.files), spec=spec,
+                   batch_size=512)
+    assert res.metrics["wide_stage"] == "keyed"
     assert "dataset" in res.metrics["wide_stage_fallback"]
     assert rows(res.violations) == rows(gen.golden_violations)
 
 
-def test_hot_conversation_copied_to_another_file_falls_back_to_sort(
+def test_hot_conversation_copied_to_another_file_falls_back_to_keyed_check(
         ray_session, corpus, tmp_path):
     """A copy of the hot conversation (8,208 turns) in another file overlaps
     every run of it, and its rows are most of the corpus: past
-    MAX_RECHECK_SHARE of the checked rows, so validate() takes the sort
+    MAX_RECHECK_SHARE of the checked rows, so validate() takes the keyed
     fallback instead of re-reading the conversation into the driver. The
     result is exact: each copied row's row violations once more, plus one
     duplicate key per copied row."""
@@ -123,7 +122,7 @@ def test_hot_conversation_copied_to_another_file_falls_back_to_sort(
     pq.write_table(copy, str(tmp_path / "hot-copy.parquet"))
     res = validate(list(gen.files) + [str(tmp_path / "hot-copy.parquet")],
                    spec=spec, batch_size=2048)
-    assert res.metrics["wide_stage"] == "sort"
+    assert res.metrics["wide_stage"] == "keyed"
     assert "overlapping runs" in res.metrics["wide_stage_fallback"]
 
     golden = gen.golden_violations
@@ -142,10 +141,12 @@ def test_hot_conversation_copied_to_another_file_falls_back_to_sort(
 
 
 def test_validate_on_files_runs_one_execution(ray_session, corpus):
-    """The one-pass plan reads a file source once: validate() runs ONE Ray
-    Data execution, counted from Ray Data's own "Starting execution" log
-    records. A Dataset source, which falls back to the sort wide stage,
-    runs two — the control that the count sees a second execution."""
+    """The one-pass plan reads its source once: validate() runs ONE Ray
+    Data execution on files and on a Dataset whose conversations never
+    span batches, counted from Ray Data's own "Starting execution" log
+    records. The same Dataset in small batches falls back to the keyed
+    check and runs two — the control that the count sees a second
+    execution."""
     import logging
 
     import ray.data
@@ -164,18 +165,40 @@ def test_validate_on_files_runs_one_execution(ray_session, corpus):
     logger.setLevel(logging.INFO)
     counts = {}
     try:
-        for name, source in (("files", gen.out_dir),
-                             ("dataset", ray.data.read_parquet(gen.files))):
+        for name, source, batch_size in (
+                ("files", gen.out_dir, 65536),
+                ("dataset", ray.data.read_parquet(gen.files), 65536),
+                ("dataset_split", ray.data.read_parquet(gen.files), 512)):
             handler = Starts()
             logger.addHandler(handler)
             try:
-                res = validate(source, spec=spec)
+                res = validate(source, spec=spec, batch_size=batch_size)
             finally:
                 logger.removeHandler(handler)
             counts[name] = (handler.n, res.metrics["wide_stage"])
     finally:
         logger.setLevel(level)
-    assert counts == {"files": (1, "local"), "dataset": (2, "sort")}
+    assert counts == {"files": (1, "local"), "dataset": (1, "local"),
+                      "dataset_split": (2, "keyed")}
+
+
+def test_run_records_returned_only_in_partitioned_mode(ray_session, corpus):
+    """ValidationResult.boundaries carries the run records only for
+    finalize (merge_boundaries_now=False), on either group-check plan."""
+    import ray.data
+
+    gen, spec = corpus
+    for source, batch_size, plan in (
+            (gen.out_dir, 65536, "local"),
+            (ray.data.read_parquet(gen.files), 512, "keyed")):
+        merged = validate(source, spec=spec, sketch=False,
+                          batch_size=batch_size)
+        assert merged.metrics["wide_stage"] == plan
+        assert merged.boundaries is None
+        raw = validate(source, spec=spec, sketch=False,
+                       batch_size=batch_size, merge_boundaries_now=False)
+        assert raw.metrics["wide_stage"] == plan
+        assert raw.boundaries.num_rows > 0
 
 
 def test_fused_reports_row_violation_count(ray_session, corpus):
@@ -399,7 +422,9 @@ def test_strategies_agree_on_random_corpora(ray_session, tmp_path):
     must produce IDENTICAL violation sets on randomized adversarial corpora
     (null keys, duplicate turn_idx, null ts, shuffled row order). Each corpus
     is shuffled across 3 files, so conversations straddle partitions and the
-    finalize-time boundary merge and overlap re-check both run."""
+    finalize-time boundary merge and overlap re-check both run. Both run at
+    the default batch size and at 16 rows a batch, where most conversations
+    overlap and both take the keyed fallback."""
     import numpy as np
     from jsonschema_validator_ray.constraints.ir import TRANSCRIPT_SPEC
     from jsonschema_validator_ray.pipelines import read_violations
@@ -412,6 +437,7 @@ def test_strategies_agree_on_random_corpora(ray_session, tmp_path):
     ir = compile_constraints(TRANSCRIPT_SPEC)
     rng = np.random.default_rng(77)
     rechecked = 0
+    plans = set()
     for case in range(3):
         n = 400
         convs = rng.integers(0, 40, n)
@@ -440,13 +466,27 @@ def test_strategies_agree_on_random_corpora(ray_session, tmp_path):
         for k in range(3):
             files.append(str(d / f"part{k}.parquet"))
             pq.write_table(t.filter(pa.array(shard == k)), files[-1])
-        single = validate(files, ir=ir, sketch=False)
-        out = str(tmp_path / f"out{case}")
-        summary = run_partitioned(files, out, ir=ir, files_per_partition=1)
-        assert summary["complete"] is True
-        rechecked += len(summary["overlap_rechecked_convs"])
-        assert vrows(read_violations(out)) == vrows(single.violations), case
+        want = None
+        for batch_size in (65536, 16):
+            single = validate(files, ir=ir, sketch=False,
+                              batch_size=batch_size)
+            plans.add((batch_size, single.metrics["wide_stage"]))
+            out = str(tmp_path / f"out{case}-{batch_size}")
+            summary = run_partitioned(files, out, ir=ir,
+                                      files_per_partition=1,
+                                      batch_size=batch_size)
+            assert summary["complete"] is True
+            rechecked += len(summary["overlap_rechecked_convs"])
+            for m in os.listdir(os.path.join(out, "manifests")):
+                with open(os.path.join(out, "manifests", m)) as f:
+                    plans.add((batch_size,
+                               json.load(f)["metrics"]["wide_stage"]))
+            got = vrows(read_violations(out))
+            assert got == vrows(single.violations), (case, batch_size)
+            want = want or got
+            assert got == want, (case, batch_size)
     assert rechecked > 0        # the overlap re-check path actually ran
+    assert plans == {(65536, "local"), (16, "keyed")}
 
 
 def test_read_violations_matches_single_shot(ray_session, corpus, tmp_path):

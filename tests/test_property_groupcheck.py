@@ -79,7 +79,7 @@ def engine_check(conv_map: dict, split_at: int | None = None) -> set:
                             else None for r in chunk], pa.timestamp("us")),
         })
 
-    checker = SortedRunChecker(GC, boundary_mode="edges")
+    checker = SortedRunChecker(GC)
     chunks = [rows] if not split_at else [rows[:split_at], rows[split_at:]]
     viols = []
     bounds = []

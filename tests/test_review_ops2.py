@@ -310,8 +310,8 @@ def test_bucket_shuffle_only_in_rayutil():
     """rayutil.bucket_groups is the package's one keyed shuffle: no other
     module of the package and no gate query calls ``groupby(`` or
     ``map_groups`` or does bucket arithmetic, no op re-tags batches,
-    unions sides or hashes a key column by hand, and no op or query takes
-    a bucket count."""
+    unions sides or hashes a key column by hand, no op or query takes a
+    bucket count, and no pipeline or stage sorts a Dataset."""
     import inspect
     import pathlib
     import re
@@ -329,6 +329,9 @@ def test_bucket_shuffle_only_in_rayutil():
         src = f.read_text()
         for banned in ("groupby(", "map_groups", "% np.uint64(n_buckets)"):
             assert banned not in src, (f.name, banned)
+    for f in sorted((pkg / "pipelines").glob("*.py")) \
+            + sorted((pkg / "stages").glob("*.py")):
+        assert ".sort(" not in f.read_text(), f.name
     for f in sorted((pkg / "ops").glob("*.py")) + [entry]:
         src = f.read_text()
         assert not re.search(r"\bn_buckets\b", src), f.name
@@ -357,11 +360,14 @@ def test_bucket_groups_reserved_column_in_single_input(ray_session):
 
 def _routed_shuffles():
     """One small call per op on the co-partitioned or keyed shuffles of
-    ops/join.py, ops/merge.py, ops/index.py, ops/dedup.py and ops/pack.py;
-    each returns a Dataset or a table."""
+    ops/join.py, ops/merge.py, ops/index.py, ops/dedup.py, ops/pack.py and
+    validate()'s keyed group check; each returns a Dataset or a table."""
     import ray.data
 
+    from jsonschema_validator_ray.constraints import compile_constraints
+    from jsonschema_validator_ray.constraints.ir import TRANSCRIPT_SPEC
     from jsonschema_validator_ray.ops import dedup, index, join, merge, pack
+    from jsonschema_validator_ray.pipelines import validate
 
     rng = np.random.default_rng(5)
     n = 300
@@ -397,9 +403,24 @@ def _routed_shuffles():
     # doc's set is placed with both
     r, c = np.triu_indices(80, k=1)
     cand = pa.table({"id_a": r, "id_b": c})
+    # conversations scattered over the rows, with duplicate turns and
+    # regressing ts
+    turns = pa.table({
+        "conv_id": [f"c{k}" for k in rng.integers(0, 20, n)],
+        "turn_idx": pa.array(rng.integers(0, 12, n), pa.int32()),
+        "role": rng.choice(["user", "assistant"], n).tolist(),
+        "text": ["x"] * n, "tool": pa.nulls(n, pa.string()),
+        "ts": pa.array(rng.integers(0, 10**9, n), pa.timestamp("us"))})
 
     def ds(t, blocks=3):
         return ray.data.from_arrow(t).repartition(blocks)
+
+    def validate_keyed():
+        # 16-row batches: most conversations' runs overlap across batches
+        res = validate(ds(turns), ir=compile_constraints(TRANSCRIPT_SPEC),
+                       sketch=False, batch_size=16)
+        assert res.metrics["wide_stage"] == "keyed", res.metrics
+        return res.violations
 
     return {
         "reduce_side_hash_join": lambda: join.reduce_side_hash_join(
@@ -445,6 +466,7 @@ def _routed_shuffles():
         "_jaccard_verify_pairs": lambda: dedup._jaccard_verify_pairs(
             ds(docs), ds(cand), "doc_id", "text", k=3, verify_threshold=0.5,
             pair_cap_bytes=1),
+        "validate_keyed": validate_keyed,
     }
 
 
@@ -454,7 +476,8 @@ def _routed_shuffles():
     "range_agg_join", "reduce_side_hash_join", "table_diff",
     "minhash_near_duplicates", "simhash_near_duplicates", "ngram_hot_grams",
     "ngram_jaccard_near_duplicates", "embedding_neardup_ivf",
-    "pack_sequences", "concat_packed", "_jaccard_verify_pairs"])
+    "pack_sequences", "concat_packed", "_jaccard_verify_pairs",
+    "validate_keyed"])
 def test_routed_shuffles_do_not_depend_on_bucket_count(ray_session, request,
                                                        op):
     """Each op's output at the default bucket count equals its output with
